@@ -7,6 +7,10 @@ already topologically sorted; `backward` walks it once in reverse.
 Without an active tape the same functions compute values only, which is
 how inference runs.
 
+Only leaves (tensors created with `requires_grad=True`, not produced by
+an operation) keep a `.grad`, accumulated in place.  Gradients of
+intermediate results live only while `backward` needs them.
+
 Shape conventions: parameters and activations are 1-D or 2-D; 2-D
 tensors carry batch rows.  The only broadcast supported is adding a 1-D
 bias to each row of a 2-D tensor — nothing else in the model needs one.
@@ -64,7 +68,7 @@ class Tensor:
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.values) if requires_grad else None
+        self.grad = np.zeros(self.values.shape) if requires_grad else None
         self.node_id = next(_ids)
         self.tape = None
         self.name = name
@@ -74,11 +78,8 @@ class Tensor:
         return self.values.shape
 
     def zero_grad(self):
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.values)
-
-    def _accumulate(self, g):
-        self.grad = g.copy() if self.grad is None else self.grad + g
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -115,37 +116,33 @@ def _emit(values, inputs, backward_fn) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.grad = None  # allocated on first accumulation
         out.tape = tape
         tape._entries.append((out, inputs, backward_fn))
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of every gradient-requiring
-    tensor reachable from `loss`.  Repeated calls accumulate additively."""
+    """Accumulate d(loss)/d(leaf) into .grad of every leaf reachable from
+    `loss`.  Repeated calls accumulate additively."""
     if loss.values.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     tape = loss.tape
     if tape is None:
         raise ContractError("loss was not produced by an operation recorded on a tape")
-    pending: dict[int, list] = {loss.node_id: [loss, np.ones_like(loss.values)]}
+    pending: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
     for out, inputs, back_fn in reversed(tape._entries):
-        item = pending.pop(out.node_id, None)
-        if item is None:
+        g = pending.pop(out.node_id, None)
+        if g is None:
             continue
-        g = item[1]
-        out._accumulate(g)
         for tensor, gi in zip(inputs, back_fn(g)):
             if gi is None or not tensor.requires_grad:
                 continue
-            slot = pending.get(tensor.node_id)
-            if slot is None:
-                pending[tensor.node_id] = [tensor, gi]
+            if tensor.tape is None:
+                tensor.grad += gi
+            elif tensor.node_id in pending:
+                pending[tensor.node_id] = pending[tensor.node_id] + gi
             else:
-                slot[1] = slot[1] + gi
-    for tensor, g in pending.values():
-        tensor._accumulate(g)
+                pending[tensor.node_id] = gi
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,9 @@ def stack_rows(parts: list[Tensor]) -> Tensor:
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D tensor; duplicate ids accumulate on backward."""
+    """Gather rows of a 2-D tensor; duplicate ids accumulate on backward.
+    A leaf source (an embedding table) receives its gradient rows straight
+    into `.grad`, so no table-sized array is built."""
     idx = np.asarray(ids, dtype=np.int64)
     tv = table.values
     if tv.ndim != 2:
@@ -255,6 +254,9 @@ def take_rows(table: Tensor, ids) -> Tensor:
         raise ContractError(f"take_rows: id out of range 0..{tv.shape[0] - 1}: {int(idx.max())}")
 
     def back(g):
+        if table.tape is None:
+            np.add.at(table.grad, idx, g)
+            return (None,)
         gt = np.zeros_like(tv)
         np.add.at(gt, idx, g)
         return (gt,)
@@ -380,17 +382,25 @@ def _scalar(value) -> float:
 
 def numeric_gradient(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar f() w.r.t. tensor's entries."""
+    return numeric_gradients(lambda: (f(),), tensor, h)[0]
+
+
+def numeric_gradients(f, tensor: Tensor, h: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradients of each scalar in the sequence f()
+    returns, all from the same evaluations of f."""
     flat = tensor.values.reshape(-1)
-    out = np.zeros_like(flat)
+    rows = []
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        up = _scalar(f())
+        up = [_scalar(v) for v in f()]
         flat[i] = orig - h
-        down = _scalar(f())
+        down = [_scalar(v) for v in f()]
         flat[i] = orig
-        out[i] = (up - down) / (2.0 * h)
-    return out.reshape(tensor.values.shape)
+        rows.append([(u - d) / (2.0 * h) for u, d in zip(up, down)])
+    if not rows:
+        return [np.zeros(tensor.values.shape) for _ in f()]
+    return [np.array(col).reshape(tensor.values.shape) for col in zip(*rows)]
 
 
 def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:

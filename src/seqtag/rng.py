@@ -21,6 +21,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# `floats` mixes this many states at a time through two reused buffers;
+# _STEPS[i] is (i + 1) * gamma, the offset of the block's i-th state
+_BLOCK = 1 << 16
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
@@ -43,22 +48,33 @@ class SplitMix64:
 
     def floats(self, n: int) -> np.ndarray:
         """Vectorised batch of `n` floats, identical to n next_float calls."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        self._state = int(z[-1])
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        out = np.empty(n, dtype=np.float64)
+        z = np.empty(min(n, _BLOCK), dtype=np.uint64)
+        shifted = np.empty_like(z)
+        for start in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - start)
+            zb, sb = z[:size], shifted[:size]
+            np.add(_STEPS[:size], np.uint64(self._state), out=zb)
+            self._state = (self._state + size * _GAMMA) & _MASK
+            for shift, mult in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(zb, np.uint64(shift), out=sb)
+                zb ^= sb
+                zb *= np.uint64(mult)
+            np.right_shift(zb, np.uint64(31), out=sb)
+            zb ^= sb
+            zb >>= np.uint64(11)
+            np.multiply(zb, 2.0**-53, out=out[start:start + size])
+        return out
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        return (lo + (hi - lo) * self.floats(n)).reshape(shape)
+        values = self.floats(n)
+        values *= hi - lo
+        values += lo
+        return values.reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""

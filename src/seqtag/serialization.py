@@ -138,7 +138,10 @@ class _Reader:
 
 def load_model(path):
     """Read a model file back into (params, vocabs, meta) where meta holds
-    both header sections."""
+    both header sections.  A file that is truncated, has bytes after the
+    last tensor, lacks a header key or vocabulary, or whose tensors do not
+    match the model its header describes (missing, extra, duplicated, or
+    of another shape) raises IngestionError."""
     reader = _Reader(Path(path).read_bytes(), path)
     if reader.take(len(MAGIC)) != MAGIC:
         raise IngestionError(f"{path}: not a model file (bad magic)")
@@ -161,35 +164,61 @@ def load_model(path):
         name = reader.string()
         (count,) = reader.unpack("<I")
         vocab_map[name] = Vocabulary.from_strings([reader.string("<I") for _ in range(count)])
-    n_feat_cols = meta_int["n_feat_columns"]
+
+    def lookup(section: dict, what: str, key: str):
+        if key not in section:
+            raise IngestionError(f"{path}: {what} {key!r} missing")
+        return section[key]
+
+    def header(key: str) -> int:
+        return lookup(meta_int, "header key", key)
+
+    def vocab(key: str) -> Vocabulary:
+        return lookup(vocab_map, "vocabulary", key)
+
+    n_feat_cols = header("n_feat_columns")
     vocabs = VocabSet(
-        word=vocab_map["word"],
-        char=vocab_map["char"],
-        label=vocab_map["label"],
-        feats=[vocab_map[f"feat{k}"] for k in range(n_feat_cols)],
+        word=vocab("word"),
+        char=vocab("char"),
+        label=vocab("label"),
+        feats=[vocab(f"feat{k}") for k in range(n_feat_cols)],
     )
     dims = ModelDims(
-        n_words=meta_int["n_words"],
-        n_chars=meta_int["n_chars"],
-        n_labels=meta_int["n_labels"],
-        n_feats=tuple(meta_int[f"n_feat{k}"] for k in range(n_feat_cols)),
-        word_dim=meta_int["word_dim"],
-        char_dim=meta_int["char_dim"],
-        char_hidden=meta_int["char_hidden"],
-        label_dim=meta_int["label_dim"],
-        feat_dim=meta_int["feat_dim"],
-        hidden=meta_int["hidden"],
-        blocks=bool(meta_int["blocks"]),
+        n_words=header("n_words"),
+        n_chars=header("n_chars"),
+        n_labels=header("n_labels"),
+        n_feats=tuple(header(f"n_feat{k}") for k in range(n_feat_cols)),
+        word_dim=header("word_dim"),
+        char_dim=header("char_dim"),
+        char_hidden=header("char_hidden"),
+        label_dim=header("label_dim"),
+        feat_dim=header("feat_dim"),
+        hidden=header("hidden"),
+        blocks=bool(header("blocks")),
     )
     params = ModelParameters(dims, rng=None)
+    expected = {name: t.values.shape for name, t in params.named_tensors()}
     (n,) = reader.unpack("<I")
     values: dict[str, np.ndarray] = {}
     for _ in range(n):
         name = reader.string()
+        if name in values:
+            raise IngestionError(f"{path}: tensor {name!r} appears twice")
+        if name not in expected:
+            raise IngestionError(f"{path}: unexpected tensor {name!r}")
         (ndim,) = reader.unpack("<I")
         shape = reader.unpack(f"<{ndim}I")
+        if shape != expected[name]:
+            raise IngestionError(
+                f"{path}: tensor {name!r} has shape {shape}, the header implies {expected[name]}"
+            )
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(reader.take(count * 8), dtype="<f8").reshape(shape)
         values[name] = arr.astype(np.float64)
+    missing = [name for name in expected if name not in values]
+    if missing:
+        raise IngestionError(f"{path}: tensors missing: {missing}")
+    if reader.pos != len(reader.blob):
+        raise IngestionError(f"{path}: {len(reader.blob) - reader.pos} bytes after the last tensor")
     params.load_snapshot(values)
     return params, vocabs, {"int": meta_int, "float": meta_float}

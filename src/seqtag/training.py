@@ -5,17 +5,24 @@ The objective over a batch D with per-sentence gold labels e is
 
     -sum_d sum_i 0.5 * (logP_fw(e_i) + logP_bw(e_i))  +  (l2/2) * sum |theta|^2
 
+The tape records only the log-likelihood part.  The L2 penalty is
+computed off the tape: its value is added to the logged loss and its
+gradient, l2 * theta, is added analytically after the backward pass.
+
 In the dual regime the parameters split into the backward-decoder group
 (its decoder block plus the backward output projection), stepped by its
-own optimizer on the backward-only term -sum logP_bw(e_i), while a second
-optimizer steps all remaining parameters on the full objective.  Both
-steps happen every mini-batch on one shared forward pass, gradients
-re-zeroed in between.
+own optimizer on the backward-only term -sum logP_bw(e_i) without L2,
+while a second optimizer steps all remaining parameters on the full
+objective.  Every mini-batch runs one shared forward pass and takes both
+gradients at the same parameters, before either optimizer steps.
+`step_gradients` is that computation; the trainer and the gradient check
+both use it.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -93,40 +100,74 @@ class Corpus:
 
 class Adam:
     """Adaptive-moment gradient steps over one named parameter group, with
-    optional global-norm clipping.  Step counts start at zero."""
+    optional global-norm clipping.  Step counts start at zero.  `group`
+    names the group in errors."""
 
     def __init__(self, tensors: list[Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None):
+                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None,
+                 group: str = "all"):
         self.tensors = tensors
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.clip_norm = clip_norm
+        self.group = group
         self.step_count = 0
-        self._m = [np.zeros_like(t.values) for t in tensors]
-        self._v = [np.zeros_like(t.values) for t in tensors]
+        self._m = [np.zeros(t.values.shape) for t in tensors]
+        self._v = [np.zeros(t.values.shape) for t in tensors]
+        # one buffer holding two tensor-sized work areas, shared by every
+        # tensor of every step: `_work[i]` views it in tensor i's shape
+        scratch = np.empty(2 * max((t.values.size for t in tensors), default=0))
+        self._work = [(scratch[:t.values.size].reshape(t.values.shape),
+                       scratch[t.values.size:2 * t.values.size].reshape(t.values.shape))
+                      for t in tensors]
+        self._norm = None
 
     def zero_grad(self):
         for t in self.tensors:
             t.zero_grad()
 
+    def grad_norm(self) -> float:
+        """Global L2 norm of the group's `.grad`, kept for the next `step`.
+        A non-finite norm raises NumericError naming the group, so a
+        caller can check every group before any of them steps."""
+        total = np.sqrt(sum(float(np.multiply(t.grad, t.grad, out=a).sum())
+                            for t, (a, _) in zip(self.tensors, self._work)))
+        if not np.isfinite(total):
+            raise NumericError(f"gradient norm of group {self.group} is {total}")
+        self._norm = total
+        return total
+
     def step(self):
         if not self.tensors:
             return
+        total = self.grad_norm() if self._norm is None else self._norm
+        self._norm = None
         factor = 1.0
-        if self.clip_norm is not None:
-            total = np.sqrt(sum(float((t.grad * t.grad).sum()) for t in self.tensors))
-            if total > self.clip_norm:
-                factor = self.clip_norm / total
+        if self.clip_norm is not None and total > self.clip_norm:
+            factor = self.clip_norm / total
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        for t, mom, vel in zip(self.tensors, self._m, self._v):
-            g = t.grad * factor
-            mom += (1.0 - self.beta1) * (g - mom)
-            vel += (1.0 - self.beta2) * (g * g - vel)
-            t.values -= self.lr * (mom / bc1) / (np.sqrt(vel / bc2) + self.eps)
+        # m += (1-b1)(g - m); v += (1-b2)(g*g - v);
+        # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time
+        for t, mom, vel, (a, b) in zip(self.tensors, self._m, self._v, self._work):
+            g = t.grad if factor == 1.0 else np.multiply(t.grad, factor, out=a)
+            np.subtract(g, mom, out=b)
+            b *= 1.0 - self.beta1
+            mom += b
+            np.multiply(g, g, out=b)
+            b -= vel
+            b *= 1.0 - self.beta2
+            vel += b
+            np.divide(mom, bc1, out=a)
+            a *= self.lr
+            np.divide(vel, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            t.values -= a
 
 
 def dual_parameter_groups(params: ModelParameters):
@@ -182,26 +223,68 @@ def nll_sums(batch: list[EncodedSentence], params: ModelParameters, mode: m.Mode
     return fw_total, bw_total
 
 
-def l2_penalty(params: ModelParameters, coefficient: float) -> Tensor | None:
+def objective(sentences: list[EncodedSentence], params: ModelParameters,
+              mode: m.Mode) -> tuple[Tensor, Tensor]:
+    """Tape scalars of one batch: the full log-likelihood objective
+    -0.5 * (fw + bw) and the backward-only term -bw.  L2 is not on the tape."""
+    fw_total, bw_total = nll_sums(sentences, params, mode)
+    return ad.scale(ad.add(fw_total, bw_total), -0.5), ad.scale(bw_total, -1.0)
+
+
+def l2_penalty(params: ModelParameters, coefficient: float) -> float:
+    """(coefficient / 2) * sum |theta|^2 over every parameter, in numpy."""
     if coefficient == 0.0:
-        return None
-    total = None
-    for _, t in params.named_tensors():
-        sq = ad.tensor_sum(ad.mul(t, t))
-        total = sq if total is None else ad.add(total, sq)
-    return ad.scale(total, 0.5 * coefficient)
+        return 0.0
+    total = sum(float(np.vdot(t.values, t.values)) for _, t in params.named_tensors())
+    return 0.5 * coefficient * total
 
 
 def loss(batch: Batch | list[EncodedSentence], params: ModelParameters,
          config: TrainingConfig, mode: m.Mode) -> Tensor:
-    """Full training objective for one batch as a tape scalar."""
+    """Full training objective for one batch as a tape scalar.  The L2
+    penalty enters as a constant, so `backward` on it yields the
+    log-likelihood gradient only; `step_gradients` adds l2 * theta."""
     sentences = batch.sentences if isinstance(batch, Batch) else batch
     if not sentences:
         raise ContractError("loss needs a non-empty batch")
-    fw_total, bw_total = nll_sums(sentences, params, mode)
-    total = ad.scale(ad.add(fw_total, bw_total), -0.5)
-    penalty = l2_penalty(params, config.l2)
-    return total if penalty is None else ad.add(total, penalty)
+    full, _ = objective(sentences, params, mode)
+    return ad.add_scalar(full, l2_penalty(params, config.l2))
+
+
+def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mode: m.Mode,
+                   l2: float, group_b: Sequence[str] = ()) -> float:
+    """One training step's gradients, left in every parameter's `.grad`;
+    returns the logged loss value (the full objective, L2 included).
+
+    Tensors named in `group_b` get the gradient of the backward-only term
+    -bw.  Every other tensor gets the full objective's gradient: the
+    tape's plus l2 * theta.  Both gradients are taken at the current
+    parameters.  A non-finite loss raises NumericError."""
+    params.zero_grads()
+    b_tensors = [params.get(name) for name in group_b]
+    b_ids = {id(t) for t in b_tensors}
+    a_tensors = [t for _, t in params.named_tensors() if id(t) not in b_ids]
+    aside = []
+    with Tape():
+        full, bw_term = objective(sentences, params, mode)
+        value = float(full.values) + l2_penalty(params, l2)
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite loss {value}")
+        if b_tensors:
+            backward(bw_term)
+            # group B keeps this gradient; the full pass adds into fresh buffers
+            aside = [t.grad for t in b_tensors]
+            for t in b_tensors:
+                t.grad = np.zeros(t.values.shape)
+            for t in a_tensors:
+                t.zero_grad()
+        backward(full)
+    if l2 != 0.0:
+        for t in a_tensors:
+            t.grad += l2 * t.values
+    for t, g in zip(b_tensors, aside):
+        t.grad = g
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +382,14 @@ def _run_training(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet,
         if group_b_names is not None:
             group_b = list(group_b_names)
             group_a = [n for n in params.names() if n not in set(group_b)]
-        opt_a = Adam([params.get(n) for n in group_a], config.lr, clip_norm=config.clip_norm)
-        opt_b = Adam([params.get(n) for n in group_b], config.lr, clip_norm=config.clip_norm)
+        groups = [(group_a, "a"), (group_b, "b")]
     else:
-        opt = Adam([t for _, t in params.named_tensors()], config.lr, clip_norm=config.clip_norm)
+        group_b = []
+        groups = [(params.names(), "all")]
+    optimizers = [
+        Adam([params.get(n) for n in names], config.lr, clip_norm=config.clip_norm, group=group)
+        for names, group in groups
+    ]
 
     log: list[str] = []
     epoch_reports: list[EvalReport] = []
@@ -317,26 +404,13 @@ def _run_training(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet,
         token_total = 0
         for step, batch_idx in enumerate(order):
             batch = batches[batch_idx]
-            params.zero_grads()
             try:
-                with Tape():
-                    fw_total, bw_total = nll_sums(batch.sentences, params, mode)
-                    full = ad.scale(ad.add(fw_total, bw_total), -0.5)
-                    penalty = l2_penalty(params, config.l2)
-                    if penalty is not None:
-                        full = ad.add(full, penalty)
-                    value = float(full.values)
-                    if not np.isfinite(value):
-                        raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
-                    if dual:
-                        backward(ad.scale(bw_total, -1.0))
-                        opt_b.step()
-                        params.zero_grads()
-                        backward(full)
-                        opt_a.step()
-                    else:
-                        backward(full)
-                        opt.step()
+                value = step_gradients(batch.sentences, params, mode, config.l2, group_b)
+                # every group's norm is checked before any parameter moves
+                for opt in optimizers:
+                    opt.grad_norm()
+                for opt in optimizers:
+                    opt.step()
             except NumericError as exc:
                 raise TrainingError(f"diverged at epoch {epoch} step {step}: {exc}") from exc
             loss_total += value
@@ -432,8 +506,9 @@ def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = 
 
 
 def _micro_fixture(seed: int):
-    """Tiny deterministic instance: one 3-token sentence, 3 labels, words
-    of 1..4 characters, every architectural piece enabled."""
+    """Tiny deterministic instance: a mixed-length batch (two 3-token
+    sentences and a 2-token one), 3 labels, words of 1..4 characters,
+    every architectural piece enabled."""
     sentences = [
         TaggedSentence(
             tokens=["abcd", "be", "c"],
@@ -444,6 +519,11 @@ def _micro_fixture(seed: int):
             tokens=["be", "dd", "abcd"],
             features=[["Y", "Y", "X"]],
             labels=["O", "B-q", "I-q"],
+        ),
+        TaggedSentence(
+            tokens=["dd", "c"],
+            features=[["X", "Y"]],
+            labels=["B-q", "O"],
         ),
     ]
     vocabs = build_vocabularies(sentences)
@@ -461,30 +541,33 @@ def _micro_fixture(seed: int):
         blocks=True,
     )
     params = ModelParameters(dims, SplitMix64(seed))
-    batch = encode_corpus(sentences[:1], vocabs)
+    batch = encode_corpus(sentences, vocabs)
     return params, batch
 
 
 def run_gradient_check(seed: int = 1, tolerance: float = 1e-4, h: float = 1e-5,
                        l2: float = 0.01) -> tuple[dict[str, float], bool]:
-    """Compare every parameter gradient of the full objective on the micro
-    instance against central finite differences.  Returns the max relative
-    error per tensor and whether all passed the tolerance."""
+    """Compare the gradients the trainer applies on the micro instance,
+    from `step_gradients` in both regimes, against central finite
+    differences: the full objective with L2 for every tensor in the single
+    regime and for group A in the dual one, the backward-only term for
+    group B.  Returns the max relative error per tensor over the checks
+    that apply to it, and whether all passed the tolerance."""
     params, batch = _micro_fixture(seed)
-    config = TrainingConfig(l2=l2, dropout=0.0)
     mode = m.Mode(training=True, dropout_p=0.0, rng=None)
+    _, group_b = dual_parameter_groups(params)
+    step_gradients(batch, params, mode, l2)
+    single = {name: t.grad.copy() for name, t in params.named_tensors()}
+    step_gradients(batch, params, mode, l2, group_b)
+    dual = {name: t.grad.copy() for name, t in params.named_tensors()}
 
-    def forward():
-        return loss(batch, params, config, mode)
+    def objectives():
+        full, bw_term = objective(batch, params, mode)
+        return float(full.values) + l2_penalty(params, l2), float(bw_term.values)
 
-    params.zero_grads()
-    with Tape():
-        backward(forward())
     errors = {}
-    ok = True
     for name, tensor in params.named_tensors():
-        fd = ad.numeric_gradient(forward, tensor, h=h)
-        err = ad.relative_error(tensor.grad, fd)
-        errors[name] = err
-        ok = ok and err < tolerance
-    return errors, ok
+        fd_full, fd_bw = ad.numeric_gradients(objectives, tensor, h=h)
+        errors[name] = max(ad.relative_error(single[name], fd_full),
+                           ad.relative_error(dual[name], fd_bw if name in group_b else fd_full))
+    return errors, all(err < tolerance for err in errors.values())

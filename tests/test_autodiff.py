@@ -269,6 +269,17 @@ class TestDropout:
 
 
 class TestGatherOps:
+    def test_take_rows_from_computed_source_gets_dense_gradient(self):
+        rng = SplitMix64(47)
+        t = Tensor(_rand(rng, (3, 2)), requires_grad=True, name="t")
+
+        def build():
+            doubled = ad.scale(t, 2.0)
+            picked = ad.take_rows(doubled, [2, 0, 2])
+            return ad.tensor_sum(ad.mul(picked, picked))
+
+        _fd_check(build, [t])
+
     def test_take_rows_duplicate_ids_accumulate(self):
         t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with Tape():
@@ -316,6 +327,15 @@ class TestBackward:
         with Tape():
             backward(ad.scale(ad.tensor_sum(ad.mul(w, w)), 0.5))
         np.testing.assert_array_equal(w.grad, w.values)
+
+    def test_only_leaves_keep_gradients(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape():
+            hidden = ad.scale(w, 3.0)
+            loss = ad.tensor_sum(hidden)
+            backward(loss)
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+        assert hidden.grad is None and loss.grad is None
 
     def test_repeated_backward_accumulates(self):
         w = Tensor([1.0, 2.0], requires_grad=True)

@@ -1,6 +1,7 @@
 """Generator determinism and the scalar/vector path equivalence."""
 
 import numpy as np
+import pytest
 
 from seqtag.rng import SplitMix64
 
@@ -18,6 +19,17 @@ def test_vectorised_floats_match_scalar_path():
     np.testing.assert_array_equal(scalar, b.floats(257))
     # streams stay aligned after the batch
     assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 65535, 65536, 65537, 3 * 65536 + 11])
+def test_floats_match_scalar_path_across_blocks(n):
+    # `floats` mixes states in blocks of 65536: cover sizes inside one
+    # block (dropout masks), at its edge, and across two or more blocks
+    a = SplitMix64(2**64 - 3)
+    b = SplitMix64(2**64 - 3)
+    scalar = np.array([a.next_float() for _ in range(n)])
+    np.testing.assert_array_equal(scalar, b.floats(n))
+    assert a._state == b._state
 
 
 def test_floats_in_unit_interval():

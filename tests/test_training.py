@@ -17,7 +17,8 @@ from seqtag.data import (
     encode_corpus,
     make_synthetic_corpus,
 )
-from seqtag.errors import ConfigError, ContractError
+from seqtag import training
+from seqtag.errors import ConfigError, ContractError, IngestionError, TrainingError
 from seqtag.model import ModelDims, ModelParameters
 from seqtag.rng import SplitMix64
 from seqtag.serialization import load_model, save_model
@@ -149,6 +150,31 @@ class TestAdam:
         opt.step()
         assert opt.step_count == 2
 
+    @pytest.mark.parametrize("clip_norm", [None, 1e9, 0.5])
+    def test_step_matches_reference_formula_bit_for_bit(self, clip_norm):
+        rng = SplitMix64(21)
+        tensors = [ad.Tensor(rng.uniform_array(shape, -1.0, 1.0), requires_grad=True)
+                   for shape in ((3, 4), (5,), (2, 2))]
+        ref_values = [t.values.copy() for t in tensors]
+        ref_m = [np.zeros_like(v) for v in ref_values]
+        ref_v = [np.zeros_like(v) for v in ref_values]
+        opt = Adam(tensors, lr=0.01, clip_norm=clip_norm)
+        for step in range(1, 4):
+            grads = [rng.uniform_array(t.values.shape, -2.0, 2.0) for t in tensors]
+            for t, g in zip(tensors, grads):
+                t.grad[...] = g
+            opt.step()
+            # the textbook update, one array expression per moment
+            total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+            factor = clip_norm / total if clip_norm is not None and total > clip_norm else 1.0
+            for g, mom, vel, values in zip(grads, ref_m, ref_v, ref_values):
+                g = g * factor
+                mom += (1.0 - 0.9) * (g - mom)
+                vel += (1.0 - 0.999) * (g * g - vel)
+                values -= 0.01 * (mom / (1.0 - 0.9**step)) / (np.sqrt(vel / (1.0 - 0.999**step)) + 1e-8)
+            for t, values in zip(tensors, ref_values):
+                np.testing.assert_array_equal(t.values, values)
+
     def test_clipping_bounds_the_update_norm(self):
         t = ad.Tensor(np.zeros(4), requires_grad=True)
         t.grad = np.full(4, 100.0)
@@ -269,6 +295,69 @@ class TestTrainDual:
         result = train_dual(corpus, overfit_config(regime="dual"))
         assert result.best_report.token_accuracy >= 0.99
 
+    def test_both_groups_take_gradients_before_either_steps(self, monkeypatch):
+        # group A's applied gradient must be the full objective's gradient
+        # at the parameters the step started from, not at parameters that
+        # group B's step already moved
+        recorded = {}
+        original_zero, original_nll, original_step = (
+            ModelParameters.zero_grads, training.nll_sums, Adam.step)
+
+        def zero_grads(self):
+            recorded.setdefault("start", self.clone())
+            original_zero(self)
+
+        def nll(batch, *args):
+            recorded.setdefault("batch", list(batch))
+            return original_nll(batch, *args)
+
+        def step(self):
+            if self.tensors and not self.tensors[0].name.startswith(("dec_bw.", "out.bw.")):
+                recorded.setdefault("grad_a", {t.name: t.grad.copy() for t in self.tensors})
+            original_step(self)
+
+        monkeypatch.setattr(ModelParameters, "zero_grads", zero_grads)
+        monkeypatch.setattr(training, "nll_sums", nll)
+        monkeypatch.setattr(Adam, "step", step)
+        config = overfit_config(regime="dual", epochs=1, lr=1e-2, l2=0.0, dropout=0.0)
+        train_dual(overfit_corpus(6), config)
+        monkeypatch.undo()
+
+        start = recorded["start"]
+        start.zero_grads()
+        with Tape():
+            backward(loss(recorded["batch"], start, config, TRAIN_MODE))
+        assert len(recorded["grad_a"]) > 50
+        for name, grad in recorded["grad_a"].items():
+            np.testing.assert_array_equal(grad, start.get(name).grad, err_msg=name)
+
+    @pytest.mark.parametrize("pass_index, tensor_name, group", [
+        (0, "out.bw.w", "b"),    # backward-only pass, group B
+        (1, "embed.word", "a"),  # full pass, group A
+    ])
+    def test_non_finite_gradient_stops_before_any_step(self, monkeypatch, pass_index,
+                                                       tensor_name, group):
+        seen = {"passes": 0}
+        original_zero, original_backward = ModelParameters.zero_grads, training.backward
+
+        def zero_grads(self):
+            seen.setdefault("params", self)
+            seen.setdefault("start", self.snapshot())
+            original_zero(self)
+
+        def poisoned_backward(loss_tensor):
+            original_backward(loss_tensor)
+            if seen["passes"] == pass_index:
+                seen["params"].get(tensor_name).grad[0] = np.nan
+            seen["passes"] += 1
+
+        monkeypatch.setattr(ModelParameters, "zero_grads", zero_grads)
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        with pytest.raises(TrainingError, match=f"epoch 1 step 0: .*group {group}"):
+            train_dual(overfit_corpus(6), overfit_config(regime="dual", epochs=1))
+        for name, values in seen["params"].snapshot().items():
+            np.testing.assert_array_equal(values, seen["start"][name], err_msg=name)
+
     def test_empty_group_b_degenerates_to_single(self):
         corpus = overfit_corpus(6)
         config = overfit_config(epochs=2)
@@ -319,7 +408,6 @@ class TestBackwardDecoderValue:
     def test_divergence_reported_with_epoch(self):
         corpus = overfit_corpus(4)
         config = overfit_config(epochs=3, lr=1e200, clip_norm=1e300)
-        from seqtag.errors import TrainingError
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch"):
             # enormous steps blow the forward pass up to non-finite values
             train_single(corpus, config)
@@ -446,10 +534,58 @@ class TestSerialization:
         assert [t["name"] for t in manifest["tensors"]] == result.params.names()
 
     def test_corrupt_magic_rejected(self, tmp_path):
-        from seqtag.errors import IngestionError
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(IngestionError):
+            load_model(path)
+
+    def _saved_with_tensors(self, tmp_path, monkeypatch, edit):
+        """A model file whose tensor section is `edit` applied to the
+        trained model's (name, tensor) list."""
+        _, vocabs, result, _ = self._trained(tmp_path)
+        tensors = edit(result.params.named_tensors())
+        monkeypatch.setattr(result.params, "named_tensors", lambda: tensors)
+        path = tmp_path / "edited.bin"
+        save_model(path, result.params, vocabs, {"dropout": 0.1, "l2": 0.0})
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(IngestionError, match="1 bytes after the last tensor"):
+            load_model(path)
+
+    def test_duplicate_tensor_rejected(self, tmp_path, monkeypatch):
+        path = self._saved_with_tensors(tmp_path, monkeypatch, lambda ts: ts + ts[-1:])
+        with pytest.raises(IngestionError, match="appears twice"):
+            load_model(path)
+
+    def test_missing_tensor_rejected(self, tmp_path, monkeypatch):
+        path = self._saved_with_tensors(tmp_path, monkeypatch, lambda ts: ts[:-1])
+        with pytest.raises(IngestionError, match="missing: \\['out.fw.b'\\]"):
+            load_model(path)
+
+    def test_extra_tensor_rejected(self, tmp_path, monkeypatch):
+        extra = ("extra.w", ad.Tensor(np.zeros(2)))
+        path = self._saved_with_tensors(tmp_path, monkeypatch, lambda ts: ts + [extra])
+        with pytest.raises(IngestionError, match="unexpected tensor 'extra.w'"):
+            load_model(path)
+
+    def test_tensor_shape_mismatch_rejected(self, tmp_path, monkeypatch):
+        def reshape_first(ts):
+            name, t = ts[0]
+            return [(name, ad.Tensor(t.values[:-1]))] + ts[1:]
+
+        path = self._saved_with_tensors(tmp_path, monkeypatch, reshape_first)
+        with pytest.raises(IngestionError, match="'embed.word' has shape"):
+            load_model(path)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        # the length-prefixed key renamed to one of the same length: the
+        # file stays well-formed, only the key is gone
+        path.write_bytes(path.read_bytes().replace(b"\x06\x00hidden", b"\x06\x00hiddex", 1))
+        with pytest.raises(IngestionError, match="header key 'hidden' missing"):
             load_model(path)
 
 

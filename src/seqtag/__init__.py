@@ -29,8 +29,6 @@ from .training import (
     multi_run,
     run_gradient_check,
     train,
-    train_dual,
-    train_single,
 )
 
 __version__ = "0.1.0"

@@ -12,17 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import autodiff as ad
 from .data import (
     ColumnSpec,
     SyntheticSpec,
-    build_vocabularies,
     decode_labels,
     encode_corpus,
     load_conll,
@@ -30,8 +26,15 @@ from .data import (
     write_conll,
 )
 from .errors import SeqtagError, TrainingError, VocabMismatchError
-from .serialization import load_model, save_model
-from .training import Corpus, TrainingConfig, evaluate, predict_corpus, run_gradient_check, train
+from .serialization import load_model
+from .training import (
+    Corpus,
+    TrainingConfig,
+    evaluate,
+    multi_run,
+    predict_corpus,
+    run_gradient_check,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -182,26 +185,6 @@ def _load_labeled(path: str, spec: ColumnSpec):
     return sentences
 
 
-def _train_one_run(job) -> dict[str, float]:
-    corpus, config, run_index, model_out, log_out = job
-    run_config = replace(config, seed=config.seed + run_index, runs=1)
-    vocabs = build_vocabularies(corpus.train, run_config.min_count)
-    result = train(corpus, run_config, vocabs)
-    save_model(model_out, result.params, vocabs,
-               {"dropout": run_config.dropout, "l2": run_config.l2})
-    Path(log_out).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")
-    held_out = corpus.test if corpus.test else corpus.dev
-    report = evaluate(result.params, encode_corpus(held_out, vocabs), vocabs)
-    return {
-        "seed": run_config.seed,
-        "accuracy": report.token_accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "cer": report.cer,
-    }
-
-
 def cmd_train(args) -> int:
     config = _config_from_sources(args)
     spec = _column_spec(args)
@@ -212,26 +195,19 @@ def cmd_train(args) -> int:
     )
     log_out = args.log_out or args.model_out + ".log"
     if config.runs == 1:
-        results = [_train_one_run((corpus, config, 0, args.model_out, log_out))]
+        multi_run(corpus, config, outputs=[(args.model_out, log_out)])
         print(Path(log_out).read_text(encoding="utf-8"), end="")
-    else:
-        jobs = [
-            (corpus, config, k, f"{args.model_out}.seed{config.seed + k}",
-             f"{log_out}.seed{config.seed + k}")
-            for k in range(config.runs)
-        ]
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(_train_one_run, jobs))
-        else:
-            results = [_train_one_run(job) for job in jobs]
-        lines = []
-        for metric in ("accuracy", "precision", "recall", "f1", "cer"):
-            vals = np.array([r[metric] for r in results])
-            lines.append(f"{metric}_mean={vals.mean():.6f} {metric}_std={vals.std():.6f}")
-        aggregate = "\n".join(lines) + "\n"
-        Path(log_out + ".aggregate").write_text(aggregate, encoding="utf-8")
-        print(aggregate, end="")
+        return EXIT_OK
+    seeds = [config.seed + k for k in range(config.runs)]
+    stats = multi_run(corpus, config, seeds,
+                      [(f"{args.model_out}.seed{s}", f"{log_out}.seed{s}") for s in seeds])
+    aggregate = "".join(
+        f"{key}_mean={stats.mean[name]:.6f} {key}_std={stats.std[name]:.6f}\n"
+        for key, name in (("accuracy", "token_accuracy"), ("precision", "precision"),
+                          ("recall", "recall"), ("f1", "f1"), ("cer", "cer"))
+    )
+    Path(log_out + ".aggregate").write_text(aggregate, encoding="utf-8")
+    print(aggregate, end="")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ dropout), which is the plain configuration used as a training baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -144,6 +145,15 @@ class FeedForward:
         return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, self.w1), self.b1)), self.w2), self.b2)
 
 
+def _scan(step, n: int, carry, reverse: bool = False) -> list:
+    """The one recurrence loop: `step(i, carry) -> (out_i, carry)` over
+    positions 0..n-1, or n-1..0 when `reverse`; outputs in position order."""
+    outs = [None] * n
+    for i in range(n - 1, -1, -1) if reverse else range(n):
+        outs[i], carry = step(i, carry)
+    return outs
+
+
 class GruCell:
     """Gated recurrent cell.
 
@@ -152,8 +162,6 @@ class GruCell:
     """
 
     def __init__(self, store: _Store, prefix: str, input_dim: int, hidden_dim: int):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.w_z = store.matrix(f"{prefix}.w_z", (input_dim, hidden_dim))
         self.u_z = store.matrix(f"{prefix}.u_z", (hidden_dim, hidden_dim))
         self.b_z = store.zeros(f"{prefix}.b_z", (hidden_dim,))
@@ -172,6 +180,13 @@ class GruCell:
         )
         return ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
 
+    def scan(self, xs: list[Tensor], h0: Tensor, reverse: bool = False) -> list[Tensor]:
+        """The hidden state at every position of `xs`, starting from `h0`."""
+        def step(i, h):
+            h = self.step(xs[i], h)
+            return h, h
+        return _scan(step, len(xs), ad.tile_rows(h0, xs[0].values.shape[0]), reverse)
+
 
 class BiGru:
     """Forward and backward cells; output per position is [fw_i, bw_i]."""
@@ -183,48 +198,40 @@ class BiGru:
         self.h0_bw = store.zeros(f"{prefix}.h0_bw", (hidden_dim,))
 
     def run(self, xs: list[Tensor]) -> list[Tensor]:
-        n_rows = xs[0].values.shape[0]
-        h = ad.tile_rows(self.h0_fw, n_rows)
-        fw_states = []
-        for x in xs:
-            h = self.fw.step(x, h)
-            fw_states.append(h)
-        h = ad.tile_rows(self.h0_bw, n_rows)
-        bw_states = [None] * len(xs)
-        for i in range(len(xs) - 1, -1, -1):
-            h = self.bw.step(xs[i], h)
-            bw_states[i] = h
+        fw_states = self.fw.scan(xs, self.h0_fw)
+        bw_states = self.bw.scan(xs, self.h0_bw, reverse=True)
         return [ad.concat([f, b]) for f, b in zip(fw_states, bw_states)]
 
 
-class DecoderBlock:
-    """One direction of label decoding: a recurrent cell over the encoder
-    state joined with the context label embedding, residual-wrapped."""
+class ResidualBlock:
+    """The residual wrapper of the module docstring around `rnn`, a `BiGru`
+    (encoder) or a `GruCell` (decoders): `enter` computes x_hat before the
+    recurrence, `leave` the output after it."""
 
-    def __init__(self, store: _Store, prefix: str, dims: ModelDims):
+    def __init__(self, store: _Store, prefix: str, dims: ModelDims, input_dim: int,
+                 rnn_type: type, rnn_hidden: int):
         width = dims.width
-        in_dim = width + dims.label_dim
+        self._blocks = dims.blocks
         if dims.blocks:
-            self.proj = store.matrix(f"{prefix}.proj", (in_dim, width))
+            self.proj = store.matrix(f"{prefix}.proj", (input_dim, width))
             self.norm1 = LayerNormParams(store, f"{prefix}.norm1", width)
             self.norm2 = LayerNormParams(store, f"{prefix}.norm2", width)
-            self.cell = GruCell(store, f"{prefix}.gru", width, width)
+            self.rnn = rnn_type(store, f"{prefix}.gru", width, rnn_hidden)
             self.ffnn = FeedForward(store, f"{prefix}.ffnn", width, dims.ffnn_inner)
         else:
-            self.cell = GruCell(store, f"{prefix}.gru", in_dim, width)
-        self.h0 = store.zeros(f"{prefix}.h0", (width,))
-        self._blocks = dims.blocks
+            self.rnn = rnn_type(store, f"{prefix}.gru", input_dim, rnn_hidden)
 
-    def step(self, x: Tensor, h: Tensor, mode: Mode) -> tuple[Tensor, Tensor]:
-        """Returns (state for the output layer, raw hidden for the chain)."""
+    def enter(self, x: Tensor) -> Tensor:
         if not self._blocks:
-            h = self.cell.step(x, h)
-            return h, h
-        x_hat = self.norm1.apply(ad.matmul(x, self.proj))
-        h = self.cell.step(x_hat, h)
+            return x
+        return self.norm1.apply(ad.matmul(x, self.proj))
+
+    def leave(self, h: Tensor, x_hat: Tensor, mode: Mode) -> Tensor:
+        if not self._blocks:
+            return h
         dropped = ad.dropout(h, mode.dropout_p, mode.training, mode.rng)
         y = self.norm2.apply(ad.add(dropped, x_hat))
-        return ad.add(self.ffnn.apply(y), y), h
+        return ad.add(self.ffnn.apply(y), y)
 
 
 class ModelParameters:
@@ -245,16 +252,12 @@ class ModelParameters:
         self.char_bigru = BiGru(store, "char.gru", dims.char_dim, dims.char_hidden)
         self.char_ffnn_w = store.matrix("char.ffnn.w", (dims.char_rep, dims.char_rep))
         self.char_ffnn_b = store.zeros("char.ffnn.b", (dims.char_rep,))
-        if dims.blocks:
-            self.enc_proj = store.matrix("enc.proj", (dims.lex_width, d))
-            self.enc_norm1 = LayerNormParams(store, "enc.norm1", d)
-            self.enc_norm2 = LayerNormParams(store, "enc.norm2", d)
-            self.enc_bigru = BiGru(store, "enc.gru", d, dims.hidden)
-            self.enc_ffnn = FeedForward(store, "enc.ffnn", d, dims.ffnn_inner)
-        else:
-            self.enc_bigru = BiGru(store, "enc.gru", dims.lex_width, dims.hidden)
-        self.dec_bw = DecoderBlock(store, "dec_bw", dims)
-        self.dec_fw = DecoderBlock(store, "dec_fw", dims)
+        self.enc = ResidualBlock(store, "enc", dims, dims.lex_width, BiGru, dims.hidden)
+        # each decoder reads the encoder state joined with a label embedding
+        self.dec_bw = ResidualBlock(store, "dec_bw", dims, d + dims.label_dim, GruCell, d)
+        self.dec_bw_h0 = store.zeros("dec_bw.h0", (d,))
+        self.dec_fw = ResidualBlock(store, "dec_fw", dims, d + dims.label_dim, GruCell, d)
+        self.dec_fw_h0 = store.zeros("dec_fw.h0", (d,))
         self.out_bw_w = store.matrix("out.bw.w", (2 * d, dims.n_labels))
         self.out_bw_b = store.zeros("out.bw.b", (dims.n_labels,))
         self.out_fw_w = store.matrix("out.fw.w", (3 * d, dims.n_labels))
@@ -287,7 +290,7 @@ class ModelParameters:
                 raise ContractError(
                     f"parameter {name}: shape {arr.shape} does not match {t.values.shape}"
                 )
-            t.values = np.array(arr, dtype=np.float64)
+            t.values = np.asarray(arr, dtype=np.float64)
 
     def clone(self) -> "ModelParameters":
         twin = ModelParameters(self.dims, rng=None)
@@ -312,10 +315,7 @@ def _char_group_rep(params: ModelParameters, rows: list[tuple[int, ...]]) -> Ten
     """Representation for a group of words with equal character count."""
     length = len(rows[0])
     xs = [ad.take_rows(params.char_table, [row[t] for row in rows]) for t in range(length)]
-    states = params.char_bigru.run(xs)
-    total = states[0]
-    for s in states[1:]:
-        total = ad.add(total, s)
+    total = reduce(ad.add, params.char_bigru.run(xs))
     return ad.tanh(ad.add(ad.matmul(total, params.char_ffnn_w), params.char_ffnn_b))
 
 
@@ -372,16 +372,35 @@ def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) ->
             for k, table in enumerate(params.feat_tables)
         ]
         lex.append(ad.concat(parts))
-    if not params.dims.blocks:
-        return params.enc_bigru.run(lex)
-    x_hat = [params.enc_norm1.apply(ad.matmul(x, params.enc_proj)) for x in lex]
-    hidden = params.enc_bigru.run(x_hat)
-    out = []
-    for x, h in zip(x_hat, hidden):
-        dropped = ad.dropout(h, mode.dropout_p, mode.training, mode.rng)
-        y = params.enc_norm2.apply(ad.add(dropped, x))
-        out.append(ad.add(params.enc_ffnn.apply(y), y))
-    return out
+    x_hat = [params.enc.enter(x) for x in lex]
+    hidden = params.enc.rnn.run(x_hat)
+    return [params.enc.leave(h, x, mode) for h, x in zip(hidden, x_hat)]
+
+
+def _decode(enc_outs: list[Tensor], params: ModelParameters, mode: Mode,
+            teacher_labels: np.ndarray | None, block: ResidualBlock, h0: Tensor,
+            out_w: Tensor, out_b: Tensor, out_inputs, reverse: bool):
+    """One label decoder.  The scan carries the raw hidden state and the
+    context label: the gold label under teacher forcing, otherwise the
+    decoder's own argmax.  `out_inputs(i, state)` lists what the output
+    layer reads at position i.  Returns (states, log_probs, predictions)."""
+    n = len(enc_outs)
+    n_rows = enc_outs[0].values.shape[0]
+    preds = np.zeros((n_rows, n), dtype=np.int64)
+
+    def step(i, carry):
+        h, context = carry
+        x_hat = block.enter(ad.concat([enc_outs[i], ad.take_rows(params.label_table, context)]))
+        h = block.rnn.step(x_hat, h)
+        state = block.leave(h, x_hat, mode)
+        lp = ad.log_softmax(ad.add(ad.matmul(ad.concat(out_inputs(i, state)), out_w), out_b))
+        preds[:, i] = _label_argmax(lp.values)
+        context = teacher_labels[:, i] if teacher_labels is not None else preds[:, i]
+        return (state, lp), (h, context)
+
+    carry = (ad.tile_rows(h0, n_rows), np.full(n_rows, BOUNDARY, dtype=np.int64))
+    outs = _scan(step, n, carry, reverse)
+    return [s for s, _ in outs], [lp for _, lp in outs], preds
 
 
 def decode_backward(
@@ -393,23 +412,9 @@ def decode_backward(
     """Right-to-left decoding.  With `teacher_labels` (B, N) the context
     label at each step is the gold next label; otherwise the decoder feeds
     its own argmax predictions.  Returns (states, log_probs, predictions)."""
-    n = len(enc_outs)
-    n_rows = enc_outs[0].values.shape[0]
-    dec = params.dec_bw
-    h = ad.tile_rows(dec.h0, n_rows)
-    states: list[Tensor] = [None] * n
-    log_probs: list[Tensor] = [None] * n
-    preds = np.zeros((n_rows, n), dtype=np.int64)
-    context = np.full(n_rows, BOUNDARY, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        x = ad.concat([enc_outs[i], ad.take_rows(params.label_table, context)])
-        state, h = dec.step(x, h, mode)
-        logits = ad.add(ad.matmul(ad.concat([enc_outs[i], state]), params.out_bw_w), params.out_bw_b)
-        lp = ad.log_softmax(logits)
-        states[i], log_probs[i] = state, lp
-        preds[:, i] = _label_argmax(lp.values)
-        context = teacher_labels[:, i] if teacher_labels is not None else preds[:, i]
-    return states, log_probs, preds
+    return _decode(enc_outs, params, mode, teacher_labels, params.dec_bw, params.dec_bw_h0,
+                   params.out_bw_w, params.out_bw_b,
+                   lambda i, state: [enc_outs[i], state], reverse=True)
 
 
 def decode_forward(
@@ -421,28 +426,11 @@ def decode_forward(
 ):
     """Left-to-right decoding over encoder states and the right-context
     states produced by `decode_backward`."""
-    n = len(enc_outs)
-    if len(bw_states) != n:
-        raise ContractError(f"{n} encoder states but {len(bw_states)} backward states")
-    n_rows = enc_outs[0].values.shape[0]
-    dec = params.dec_fw
-    h = ad.tile_rows(dec.h0, n_rows)
-    states: list[Tensor] = [None] * n
-    log_probs: list[Tensor] = [None] * n
-    preds = np.zeros((n_rows, n), dtype=np.int64)
-    context = np.full(n_rows, BOUNDARY, dtype=np.int64)
-    for i in range(n):
-        x = ad.concat([enc_outs[i], ad.take_rows(params.label_table, context)])
-        state, h = dec.step(x, h, mode)
-        logits = ad.add(
-            ad.matmul(ad.concat([state, enc_outs[i], bw_states[i]]), params.out_fw_w),
-            params.out_fw_b,
-        )
-        lp = ad.log_softmax(logits)
-        states[i], log_probs[i] = state, lp
-        preds[:, i] = _label_argmax(lp.values)
-        context = teacher_labels[:, i] if teacher_labels is not None else preds[:, i]
-    return states, log_probs, preds
+    if len(bw_states) != len(enc_outs):
+        raise ContractError(f"{len(enc_outs)} encoder states but {len(bw_states)} backward states")
+    return _decode(enc_outs, params, mode, teacher_labels, params.dec_fw, params.dec_fw_h0,
+                   params.out_fw_w, params.out_fw_b,
+                   lambda i, state: [state, enc_outs[i], bw_states[i]], reverse=False)
 
 
 def combine(log_probs_fw: Tensor, log_probs_bw: Tensor) -> tuple[Tensor, np.ndarray]:

@@ -25,6 +25,8 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .errors import ConfigError, ContractError, NumericError, TrainingError
 from .metrics import EvalReport, evaluate_tags
 from .model import ModelDims, ModelParameters
 from .rng import SplitMix64
+from .serialization import save_model
 
 
 @dataclass
@@ -123,10 +126,6 @@ class Adam:
                        scratch[t.values.size:2 * t.values.size].reshape(t.values.shape))
                       for t in tensors]
         self._norm = None
-
-    def zero_grad(self):
-        for t in self.tensors:
-            t.zero_grad()
 
     def grad_norm(self) -> float:
         """Global L2 norm of the group's `.grad`, kept for the next `step`.
@@ -215,12 +214,7 @@ def nll_sums(batch: list[EncodedSentence], params: ModelParameters, mode: m.Mode
             bw_acc = ad.add(bw_acc, ad.pick(bw_lps[i], gold[:, i]))
         fw_parts.append(ad.tensor_sum(fw_acc))
         bw_parts.append(ad.tensor_sum(bw_acc))
-    fw_total, bw_total = fw_parts[0], bw_parts[0]
-    for t in fw_parts[1:]:
-        fw_total = ad.add(fw_total, t)
-    for t in bw_parts[1:]:
-        bw_total = ad.add(bw_total, t)
-    return fw_total, bw_total
+    return reduce(ad.add, fw_parts), reduce(ad.add, bw_parts)
 
 
 def objective(sentences: list[EncodedSentence], params: ModelParameters,
@@ -330,6 +324,22 @@ class TrainResult:
     epoch_reports: list[EvalReport]
 
 
+def _model_dims(config: TrainingConfig, vocabs: VocabSet) -> ModelDims:
+    return ModelDims(
+        n_words=len(vocabs.word),
+        n_chars=len(vocabs.char),
+        n_labels=len(vocabs.label),
+        n_feats=tuple(len(v) for v in vocabs.feats),
+        word_dim=config.word_dim,
+        char_dim=config.char_dim,
+        char_hidden=config.char_hidden,
+        label_dim=config.label_dim,
+        feat_dim=config.feat_dim,
+        hidden=config.hidden,
+        blocks=config.blocks,
+    )
+
+
 def _make_batches(train: list[EncodedSentence], config: TrainingConfig) -> list[Batch]:
     if config.batcher == "stream":
         return stream_chunks(train, config.chunk_len)
@@ -351,37 +361,27 @@ def _format_epoch(epoch: int, train_loss: float, report: EvalReport, seconds: fl
     )
 
 
-def _run_training(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet,
-                  dual: bool, group_b_names: list[str] | None = None) -> TrainResult:
+def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None) -> TrainResult:
+    """Train on `corpus.train`, select the best epoch on `corpus.dev`.
+    `config.regime` picks the optimizers: "single" steps every parameter
+    on the full objective; "dual" steps the backward-decoder group on the
+    backward term alone and the rest on the full objective, every
+    mini-batch."""
     config.validate()
     if not corpus.train or not corpus.dev:
         raise ContractError("training needs non-empty train and dev splits")
+    vocabs = vocabs or build_vocabularies(corpus.train, config.min_count)
     train = encode_corpus(corpus.train, vocabs)
     dev = encode_corpus(corpus.dev, vocabs)
     root = SplitMix64(config.seed)
     init_rng, shuffle_rng, dropout_rng = root.fork(), root.fork(), root.fork()
-    dims = ModelDims(
-        n_words=len(vocabs.word),
-        n_chars=len(vocabs.char),
-        n_labels=len(vocabs.label),
-        n_feats=tuple(len(v) for v in vocabs.feats),
-        word_dim=config.word_dim,
-        char_dim=config.char_dim,
-        char_hidden=config.char_hidden,
-        label_dim=config.label_dim,
-        feat_dim=config.feat_dim,
-        hidden=config.hidden,
-        blocks=config.blocks,
-    )
+    dims = _model_dims(config, vocabs)
     params = ModelParameters(dims, init_rng)
     batches = _make_batches(train, config)
     mode = m.Mode(training=True, dropout_p=config.dropout if config.blocks else 0.0, rng=dropout_rng)
 
-    if dual:
+    if config.regime == "dual":
         group_a, group_b = dual_parameter_groups(params)
-        if group_b_names is not None:
-            group_b = list(group_b_names)
-            group_a = [n for n in params.names() if n not in set(group_b)]
         groups = [(group_a, "a"), (group_b, "b")]
     else:
         group_b = []
@@ -431,26 +431,6 @@ def _run_training(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet,
     )
 
 
-def train_single(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None) -> TrainResult:
-    """One optimizer over all parameters on the full objective."""
-    vocabs = vocabs or build_vocabularies(corpus.train, config.min_count)
-    return _run_training(corpus, config, vocabs, dual=False)
-
-
-def train_dual(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None,
-               group_b_names: list[str] | None = None) -> TrainResult:
-    """Two optimizers: the backward-decoder group steps on the backward
-    term alone, the rest on the full objective, every mini-batch."""
-    vocabs = vocabs or build_vocabularies(corpus.train, config.min_count)
-    return _run_training(corpus, config, vocabs, dual=True, group_b_names=group_b_names)
-
-
-def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None) -> TrainResult:
-    if config.regime == "dual":
-        return train_dual(corpus, config, vocabs)
-    return train_single(corpus, config, vocabs)
-
-
 # ---------------------------------------------------------------------------
 # repeated runs
 
@@ -466,25 +446,33 @@ _AGGREGATED = ("token_accuracy", "precision", "recall", "f1", "cer")
 
 
 def _one_run(args) -> EvalReport:
-    corpus, config, seed = args
+    corpus, config, seed, output = args
     run_config = replace(config, seed=seed, runs=1)
     vocabs = build_vocabularies(corpus.train, run_config.min_count)
     result = train(corpus, run_config, vocabs)
+    if output is not None:
+        model_path, log_path = output
+        save_model(model_path, result.params, vocabs,
+                   {"dropout": run_config.dropout, "l2": run_config.l2})
+        Path(log_path).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")
     held_out = corpus.test if corpus.test else corpus.dev
     return evaluate(result.params, encode_corpus(held_out, vocabs), vocabs)
 
 
-def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = None) -> RunStats:
+def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = None,
+              outputs: list[tuple[str, str]] | None = None) -> RunStats:
     """Repeat training with seeds seed, seed+1, ... (or an explicit seed
     list) and aggregate the held-out reports (test split when present,
-    dev otherwise)."""
+    dev otherwise).  With `outputs`, run k saves its best model and its
+    epoch log to the k-th (model path, log path)."""
     if config.runs < 1:
         raise ConfigError(f"runs must be >= 1, got {config.runs}")
     if seeds is None:
         seeds = [config.seed + k for k in range(config.runs)]
     elif len(seeds) != config.runs:
         raise ConfigError(f"{config.runs} runs but {len(seeds)} seeds")
-    jobs = [(corpus, config, seed) for seed in seeds]
+    jobs = [(corpus, config, seed, output)
+            for seed, output in zip(seeds, outputs or [None] * len(seeds), strict=True)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(_one_run, jobs))
@@ -527,19 +515,8 @@ def _micro_fixture(seed: int):
         ),
     ]
     vocabs = build_vocabularies(sentences)
-    dims = ModelDims(
-        n_words=len(vocabs.word),
-        n_chars=len(vocabs.char),
-        n_labels=len(vocabs.label),
-        n_feats=tuple(len(v) for v in vocabs.feats),
-        word_dim=4,
-        char_dim=3,
-        char_hidden=2,
-        label_dim=3,
-        feat_dim=2,
-        hidden=3,
-        blocks=True,
-    )
+    dims = _model_dims(TrainingConfig(word_dim=4, char_dim=3, char_hidden=2, label_dim=3,
+                                      feat_dim=2, hidden=3, blocks=True), vocabs)
     params = ModelParameters(dims, SplitMix64(seed))
     batch = encode_corpus(sentences, vocabs)
     return params, batch

@@ -32,8 +32,7 @@ from seqtag.training import (
     TrainingConfig,
     evaluate,
     run_gradient_check,
-    train_dual,
-    train_single,
+    train,
 )
 
 
@@ -74,9 +73,9 @@ def overfit_runs():
     corpus = Corpus(train=train_split, dev=train_split)
     started = time.perf_counter()
     runs = {
-        "single": train_single(corpus, overfit_config()),
-        "dual": train_dual(corpus, overfit_config(regime="dual")),
-        "plain": train_single(corpus, overfit_config(blocks=False, dropout=0.0)),
+        "single": train(corpus, overfit_config()),
+        "dual": train(corpus, overfit_config(regime="dual")),
+        "plain": train(corpus, overfit_config(blocks=False, dropout=0.0)),
     }
     runs["seconds"] = time.perf_counter() - started
     return runs
@@ -123,7 +122,7 @@ def test_criterion_3_generalisation_beats_baseline():
             max_tokens=400, regime="dual", seed=seed, runs=1,
         )
         vocabs = build_vocabularies(train_split)
-        result = train_dual(corpus, config, vocabs)
+        result = train(corpus, config, vocabs)
         rep = evaluate(result.params, encode_corpus(test_split, vocabs), vocabs)
         accs.append(rep.token_accuracy)
     mean_acc = float(np.mean(accs))
@@ -286,7 +285,7 @@ def test_criterion_9_serialization_round_trip(tmp_path):
     corpus = Corpus(train=train_split, dev=dev_split)
     config = overfit_config(epochs=2, dropout=0.2, l2=1e-4, seed=7)
     vocabs = build_vocabularies(train_split)
-    result = train_single(corpus, config, vocabs)
+    result = train(corpus, config, vocabs)
     enc_dev = encode_corpus(dev_split, vocabs)
     before = evaluate(result.params, enc_dev, vocabs)
     path = tmp_path / "model.bin"

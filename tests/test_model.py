@@ -278,6 +278,35 @@ class TestDecoders:
         with pytest.raises(ContractError):
             decode_backward(outs, params, EVAL, teacher_labels=bad)
 
+    @pytest.mark.parametrize("blocks", [True, False])
+    def test_batched_label_feedback_equals_each_sentence_alone(self, blocks):
+        # every row of a batch carries its own context label through the
+        # scan: the gold label when teacher-forced, its own argmax otherwise
+        params, enc, _ = tiny_setup(seed=19, blocks=blocks)
+        batch = enc[:3]
+        gold = np.stack([s.label_ids for s in batch])
+
+        def decode(sents, labels):
+            outs = encode(sents, params, EVAL)
+            bw_states, bw_lps, bw_preds = decode_backward(outs, params, EVAL, teacher_labels=labels)
+            _, fw_lps, fw_preds = decode_forward(outs, bw_states, params, EVAL,
+                                                 teacher_labels=labels)
+            return bw_lps, fw_lps, bw_preds, fw_preds
+
+        for labels in (gold, None):
+            together = decode(batch, labels)
+            for b, sent in enumerate(batch):
+                alone = decode([sent], None if labels is None else labels[b:b + 1])
+                for lps_together, lps_alone in zip(together[:2], alone[:2]):
+                    for i in range(len(sent)):
+                        np.testing.assert_allclose(lps_together[i].values[b],
+                                                   lps_alone[i].values[0], rtol=0, atol=1e-12)
+                for preds_together, preds_alone in zip(together[2:], alone[2:]):
+                    np.testing.assert_array_equal(preds_together[b], preds_alone[0])
+        greedy = predict_batch(params, batch)
+        for b, sent in enumerate(batch):
+            np.testing.assert_array_equal(greedy[b], predict_batch(params, [sent])[0])
+
 
 class TestCombine:
     def test_idempotent_on_equal_inputs(self):
@@ -399,6 +428,14 @@ class TestModelParameters:
             np.testing.assert_array_equal(t.values, twin.get(name).values)
         params.get("embed.word").values[0, 0] += 1.0
         np.testing.assert_array_equal(twin.get("embed.word").values, snap["embed.word"])
+
+    def test_load_snapshot_adopts_float64_arrays(self):
+        params, _, _ = tiny_setup()
+        snap = params.snapshot()
+        twin = ModelParameters(params.dims, rng=None)
+        twin.load_snapshot(snap)
+        for name, arr in snap.items():
+            assert twin.get(name).values is arr, name
 
     def test_plain_mode_has_no_block_parameters(self):
         params, _, _ = tiny_setup(blocks=False)

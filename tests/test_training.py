@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +34,6 @@ from seqtag.training import (
     nll_sums,
     run_gradient_check,
     train,
-    train_dual,
-    train_single,
 )
 
 TRAIN_MODE = m.Mode(training=True, dropout_p=0.0, rng=None)
@@ -188,22 +187,22 @@ class TestAdam:
 class TestTrainSingle:
     def test_overfits_small_corpus(self):
         corpus = overfit_corpus()
-        result = train_single(corpus, overfit_config())
+        result = train(corpus, overfit_config())
         assert result.best_report.token_accuracy >= 0.99
         assert result.best_epoch <= 12
 
     def test_identical_seeds_identical_logs(self):
         corpus = overfit_corpus(8)
         config = overfit_config(epochs=3)
-        a = train_single(corpus, config)
-        b = train_single(corpus, config)
+        a = train(corpus, config)
+        b = train(corpus, config)
         assert strip_seconds(a.log) == strip_seconds(b.log)
         for name, t in a.params.named_tensors():
             np.testing.assert_array_equal(t.values, b.params.get(name).values)
 
     def test_loss_decreases_on_overfit_harness(self):
         corpus = overfit_corpus()
-        result = train_single(corpus, overfit_config(epochs=10))
+        result = train(corpus, overfit_config(epochs=10))
         first = float(result.log[0].split("train_loss=")[1].split()[0])
         last = float(result.log[-1].split("train_loss=")[1].split()[0])
         assert last < first
@@ -212,7 +211,7 @@ class TestTrainSingle:
         corpus = overfit_corpus(10)
         config = overfit_config(epochs=4)
         vocabs = build_vocabularies(corpus.train)
-        result = train_single(corpus, config, vocabs)
+        result = train(corpus, config, vocabs)
         logged = float(result.log[result.best_epoch - 1].split("dev_acc=")[1].split()[0])
         re_eval = evaluate(result.params, encode_corpus(corpus.dev, vocabs), vocabs)
         assert f"{re_eval.token_accuracy:.6f}" == f"{logged:.6f}"
@@ -220,12 +219,12 @@ class TestTrainSingle:
     def test_stream_batcher_trains(self):
         corpus = overfit_corpus(6)
         config = overfit_config(epochs=2, batcher="stream", chunk_len=5)
-        result = train_single(corpus, config)
+        result = train(corpus, config)
         assert len(result.log) == 2
 
     def test_epoch_log_format(self):
         corpus = overfit_corpus(6)
-        result = train_single(corpus, overfit_config(epochs=1))
+        result = train(corpus, overfit_config(epochs=1))
         assert re.fullmatch(
             r"epoch=1 train_loss=\S+ dev_acc=\S+ dev_f1=\S+ dev_cer=\S+ seconds=\S+",
             result.log[0],
@@ -292,7 +291,7 @@ class TestTrainDual:
 
     def test_dual_overfits_small_corpus(self):
         corpus = overfit_corpus()
-        result = train_dual(corpus, overfit_config(regime="dual"))
+        result = train(corpus, overfit_config(regime="dual"))
         assert result.best_report.token_accuracy >= 0.99
 
     def test_both_groups_take_gradients_before_either_steps(self, monkeypatch):
@@ -320,7 +319,7 @@ class TestTrainDual:
         monkeypatch.setattr(training, "nll_sums", nll)
         monkeypatch.setattr(Adam, "step", step)
         config = overfit_config(regime="dual", epochs=1, lr=1e-2, l2=0.0, dropout=0.0)
-        train_dual(overfit_corpus(6), config)
+        train(overfit_corpus(6), config)
         monkeypatch.undo()
 
         start = recorded["start"]
@@ -354,15 +353,17 @@ class TestTrainDual:
         monkeypatch.setattr(ModelParameters, "zero_grads", zero_grads)
         monkeypatch.setattr(training, "backward", poisoned_backward)
         with pytest.raises(TrainingError, match=f"epoch 1 step 0: .*group {group}"):
-            train_dual(overfit_corpus(6), overfit_config(regime="dual", epochs=1))
+            train(overfit_corpus(6), overfit_config(regime="dual", epochs=1))
         for name, values in seen["params"].snapshot().items():
             np.testing.assert_array_equal(values, seen["start"][name], err_msg=name)
 
-    def test_empty_group_b_degenerates_to_single(self):
+    def test_empty_group_b_degenerates_to_single(self, monkeypatch):
         corpus = overfit_corpus(6)
         config = overfit_config(epochs=2)
-        single = train_single(corpus, config)
-        dual = train_dual(corpus, config, group_b_names=[])
+        single = train(corpus, config)
+        monkeypatch.setattr(training, "dual_parameter_groups",
+                            lambda params: (params.names(), []))
+        dual = train(corpus, overfit_config(epochs=2, regime="dual"))
         assert strip_seconds(single.log) == strip_seconds(dual.log)
         for name, t in single.params.named_tensors():
             np.testing.assert_array_equal(t.values, dual.params.get(name).values)
@@ -388,7 +389,7 @@ class TestBackwardDecoderValue:
         corpus = Corpus(train=train_split, dev=test_split)
         config = overfit_config(epochs=6, seed=11)
         vocabs = build_vocabularies(train_split)
-        result = train_single(corpus, config, vocabs)
+        result = train(corpus, config, vocabs)
 
         enc_test = encode_corpus(test_split, vocabs)
         correct = total = 0
@@ -410,7 +411,7 @@ class TestBackwardDecoderValue:
         config = overfit_config(epochs=3, lr=1e200, clip_norm=1e300)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch"):
             # enormous steps blow the forward pass up to non-finite values
-            train_single(corpus, config)
+            train(corpus, config)
 
 
 class TestEvaluate:
@@ -496,7 +497,7 @@ class TestSerialization:
         corpus = overfit_corpus(8)
         config = overfit_config(epochs=2)
         vocabs = build_vocabularies(corpus.train)
-        result = train_single(corpus, config, vocabs)
+        result = train(corpus, config, vocabs)
         path = tmp_path / "model.bin"
         save_model(path, result.params, vocabs, {"dropout": config.dropout, "l2": config.l2})
         return corpus, vocabs, result, path
@@ -604,3 +605,41 @@ class TestGradientCheckHarness:
     def test_unreachable_tolerance_fails(self):
         _, ok = run_gradient_check(seed=1, tolerance=1e-12)
         assert not ok
+
+
+def _step_gradient_errors(params, batch, make_mode, l2=0.01, h=1e-5):
+    """Max relative error per tensor of `step_gradients` in both regimes
+    against central finite differences; `make_mode()` gives each
+    evaluation its own Mode, so a seeded one repeats its dropout mask."""
+    _, group_b = dual_parameter_groups(params)
+    training.step_gradients(batch, params, make_mode(), l2)
+    single = {name: t.grad.copy() for name, t in params.named_tensors()}
+    training.step_gradients(batch, params, make_mode(), l2, group_b)
+    dual = {name: t.grad.copy() for name, t in params.named_tensors()}
+
+    def objectives():
+        full, bw_term = training.objective(batch, params, make_mode())
+        return float(full.values) + training.l2_penalty(params, l2), float(bw_term.values)
+
+    errors = {}
+    for name, tensor in params.named_tensors():
+        fd_full, fd_bw = ad.numeric_gradients(objectives, tensor, h=h)
+        errors[name] = max(ad.relative_error(single[name], fd_full),
+                           ad.relative_error(dual[name], fd_bw if name in group_b else fd_full))
+    return errors
+
+
+class TestGradientCheckWrapperSettings:
+    def test_plain_model_without_blocks(self):
+        params, batch = training._micro_fixture(1)
+        plain = ModelParameters(replace(params.dims, blocks=False), SplitMix64(1))
+        errors = _step_gradient_errors(plain, batch, lambda: TRAIN_MODE)
+        assert not any(".norm" in name or ".proj" in name for name in errors)
+        assert max(errors.values()) < 1e-4, max(errors, key=errors.get)
+
+    def test_dropout_with_a_fixed_mask(self):
+        params, batch = training._micro_fixture(1)
+        errors = _step_gradient_errors(
+            params, batch, lambda: m.Mode(training=True, dropout_p=0.3, rng=SplitMix64(7)))
+        assert len(errors) == len(params.names())
+        assert max(errors.values()) < 1e-4, max(errors, key=errors.get)

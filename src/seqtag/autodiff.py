@@ -85,31 +85,6 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars on either side are plain Python numbers.
-    def __add__(self, other):
-        return add_scalar(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -other)
-        return add(self, scale(other, -1.0))
-
-    def __rsub__(self, other):
-        return add_scalar(scale(self, -1.0), other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self):
-        return tensor_sum(self)
-
 
 def _emit(values, inputs, backward_fn) -> Tensor:
     out = Tensor(values)

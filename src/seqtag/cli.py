@@ -42,20 +42,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_VOCAB_MISMATCH = 3
 
 
-def _parse_kv_file(path: Path) -> dict[str, str]:
-    """Read `key = value` lines; blank lines and # comments are skipped."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SeqtagError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _coerce(value: str, target_type):
     if target_type is bool:
         lowered = value.lower()
@@ -68,27 +54,43 @@ def _coerce(value: str, target_type):
         return int(value)
     if target_type is float:
         return float(value)
+    if target_type is tuple:
+        return tuple(c.strip() for c in value.split(",") if c.strip())
     return value
+
+
+def _read_fields(path: Path, cls, what: str, extra: tuple[str, ...] = ()) -> dict:
+    """Read `key = value` lines (blank lines and # comments skipped) into
+    values for the fields of dataclass `cls`, each read as the type of its
+    default; a tuple is a comma-separated list.  Keys in `extra` stay
+    strings; any other key raises SeqtagError naming the `what` file."""
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise SeqtagError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, value = text.split("=", 1)
+        raw[key.strip()] = value.strip()
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(defaults) - set(extra)
+    if unknown:
+        raise SeqtagError(f"unknown {what} keys: {sorted(unknown)}")
+    return {key: value if key in extra else _coerce(value, type(defaults[key]))
+            for key, value in raw.items()}
 
 
 def _config_from_sources(args) -> TrainingConfig:
     """flag > config file > dataclass default, field by field."""
-    config = TrainingConfig()
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = _parse_kv_file(Path(args.config))
     updates = {}
+    if getattr(args, "config", None):
+        updates = _read_fields(Path(args.config), TrainingConfig, "config")
     for f in dataclasses.fields(TrainingConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             updates[f.name] = flag
-        elif f.name in file_values:
-            ftype = f.type if isinstance(f.type, type) else type(getattr(config, f.name))
-            updates[f.name] = _coerce(file_values[f.name], ftype)
-    unknown = set(file_values) - {f.name for f in dataclasses.fields(TrainingConfig)}
-    if unknown:
-        raise SeqtagError(f"unknown config keys: {sorted(unknown)}")
-    config = replace(config, **updates)
+    config = replace(TrainingConfig(), **updates)
     config.validate()
     return config
 
@@ -217,11 +219,11 @@ def cmd_eval(args) -> int:
     spec = _column_spec(args)
     sentences = _load_labeled(args.data, spec)
     encoded = encode_corpus(sentences, vocabs)
-    report = evaluate(params, encoded, vocabs)
+    preds = predict_corpus(params, encoded) if args.dump else None
+    report = evaluate(params, encoded, vocabs, preds)
     print(report.table())
     print(report.key_values())
     if args.dump:
-        preds = predict_corpus(params, encoded)
         write_conll(args.dump, sentences,
                     extra_labels=[decode_labels(p, vocabs) for p in preds])
     return EXIT_OK
@@ -260,22 +262,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     _require_file(args.spec)
-    raw = _parse_kv_file(Path(args.spec))
-    fields = {f.name: f for f in dataclasses.fields(SyntheticSpec)}
-    unknown = set(raw) - set(fields) - {"seed"}
-    if unknown:
-        raise SeqtagError(f"unknown synthetic-spec keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "seed":
-            continue
-        f = fields[key]
-        if key == "concepts":
-            kwargs[key] = tuple(c.strip() for c in value.split(",") if c.strip())
-        else:
-            kwargs[key] = _coerce(value, type(f.default))
-    spec = SyntheticSpec(**kwargs)
-    seed = int(raw.get("seed", args.seed))
+    values = _read_fields(Path(args.spec), SyntheticSpec, "synthetic-spec", extra=("seed",))
+    seed = int(values.pop("seed", args.seed))
+    spec = SyntheticSpec(**values)
     train_split, dev_split, test_split = make_synthetic_corpus(spec, seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -135,7 +135,6 @@ class Vocabulary:
         reserved = [_PAD_STR, _UNK_STR] + ([_BOUNDARY_STR] if with_boundary else [])
         self._strings: list[str] = list(reserved)
         self._ids: dict[str, int] = {s: i for i, s in enumerate(reserved)}
-        self.n_reserved = len(reserved)
 
     def __len__(self):
         return len(self._strings)
@@ -172,7 +171,6 @@ class Vocabulary:
         vocab = cls.__new__(cls)
         vocab._strings = list(strings)
         vocab._ids = {s: i for i, s in enumerate(strings)}
-        vocab.n_reserved = 2 + (1 if len(strings) > 2 and strings[2] == _BOUNDARY_STR else 0)
         return vocab
 
 

@@ -17,7 +17,7 @@ dropout), which is the plain configuration used as a training baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -52,6 +52,11 @@ class ModelDims:
     feat_dim: int = 30
     hidden: int = 300
     blocks: bool = True
+
+    @classmethod
+    def layer_names(cls) -> list[str]:
+        """Every field but the vocabulary sizes (n_*), as named in `TrainingConfig`."""
+        return [f.name for f in fields(cls) if not f.name.startswith("n_")]
 
     @property
     def width(self) -> int:
@@ -178,7 +183,7 @@ class GruCell:
         cand = ad.tanh(
             ad.add(ad.add(ad.matmul(x, self.w_h), ad.matmul(ad.mul(r, h), self.u_h)), self.b_h)
         )
-        return ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
+        return ad.add(ad.mul(ad.add_scalar(ad.scale(z, -1.0), 1.0), h), ad.mul(z, cand))
 
     def scan(self, xs: list[Tensor], h0: Tensor, reverse: bool = False) -> list[Tensor]:
         """The hidden state at every position of `xs`, starting from `h0`."""

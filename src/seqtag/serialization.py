@@ -13,14 +13,16 @@ Layout (all integers little-endian):
                         name (u16 length + utf-8), u32 ndim, u32 per dim,
                         raw float64 values, row-major little-endian
 
-The int header carries every model dimension plus the feature-column
-count; the float header carries the dropout rate and the L2 coefficient
-used at training time.  A human-readable JSON manifest is written next
-to the binary as `<path>.manifest.json`.
+The int header carries every `ModelDims` field in declaration order,
+with `n_feats` written as `n_feat_columns` plus one `n_feat<k>` per
+column and `blocks` as 0/1; the float header carries the dropout rate
+and the L2 coefficient used at training time.  A human-readable JSON
+manifest is written next to the binary as `<path>.manifest.json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -42,21 +44,14 @@ def _write_str(out, s: str, fmt: str = "<H"):
 
 
 def _pack(params: ModelParameters, vocabs: VocabSet, meta_float: dict[str, float]) -> bytes:
-    dims = params.dims
-    meta_int = {
-        "n_words": dims.n_words,
-        "n_chars": dims.n_chars,
-        "n_labels": dims.n_labels,
-        "n_feat_columns": len(dims.n_feats),
-        **{f"n_feat{k}": n for k, n in enumerate(dims.n_feats)},
-        "word_dim": dims.word_dim,
-        "char_dim": dims.char_dim,
-        "char_hidden": dims.char_hidden,
-        "label_dim": dims.label_dim,
-        "feat_dim": dims.feat_dim,
-        "hidden": dims.hidden,
-        "blocks": int(dims.blocks),
-    }
+    meta_int: dict[str, int] = {}
+    for f in dataclasses.fields(ModelDims):
+        value = getattr(params.dims, f.name)
+        if f.name == "n_feats":
+            meta_int["n_feat_columns"] = len(value)
+            meta_int.update({f"n_feat{k}": n for k, n in enumerate(value)})
+        else:
+            meta_int[f.name] = int(value)
     out: list[bytes] = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     out.append(struct.pack("<I", len(meta_int)))
     for name, value in meta_int.items():
@@ -89,15 +84,7 @@ def save_model(path, params: ModelParameters, vocabs: VocabSet, meta_float: dict
     path.write_bytes(_pack(params, vocabs, meta_float))
     manifest = {
         "format_version": FORMAT_VERSION,
-        "dimensions": {
-            "word_dim": params.dims.word_dim,
-            "char_dim": params.dims.char_dim,
-            "char_hidden": params.dims.char_hidden,
-            "label_dim": params.dims.label_dim,
-            "feat_dim": params.dims.feat_dim,
-            "hidden": params.dims.hidden,
-            "blocks": params.dims.blocks,
-        },
+        "dimensions": {name: getattr(params.dims, name) for name in ModelDims.layer_names()},
         "hyper_parameters": meta_float,
         "vocabulary_sizes": {
             "word": len(vocabs.word),
@@ -183,20 +170,14 @@ def load_model(path):
         label=vocab("label"),
         feats=[vocab(f"feat{k}") for k in range(n_feat_cols)],
     )
-    dims = ModelDims(
-        n_words=header("n_words"),
-        n_chars=header("n_chars"),
-        n_labels=header("n_labels"),
-        n_feats=tuple(header(f"n_feat{k}") for k in range(n_feat_cols)),
-        word_dim=header("word_dim"),
-        char_dim=header("char_dim"),
-        char_hidden=header("char_hidden"),
-        label_dim=header("label_dim"),
-        feat_dim=header("feat_dim"),
-        hidden=header("hidden"),
-        blocks=bool(header("blocks")),
-    )
-    params = ModelParameters(dims, rng=None)
+    dims = {}
+    for f in dataclasses.fields(ModelDims):
+        if f.name == "n_feats":
+            dims[f.name] = tuple(header(f"n_feat{k}") for k in range(n_feat_cols))
+        else:
+            value = header(f.name)
+            dims[f.name] = bool(value) if isinstance(f.default, bool) else value
+    params = ModelParameters(ModelDims(**dims), rng=None)
     expected = {name: t.values.shape for name, t in params.named_tensors()}
     (n,) = reader.unpack("<I")
     values: dict[str, np.ndarray] = {}

@@ -221,6 +221,8 @@ def objective(sentences: list[EncodedSentence], params: ModelParameters,
               mode: m.Mode) -> tuple[Tensor, Tensor]:
     """Tape scalars of one batch: the full log-likelihood objective
     -0.5 * (fw + bw) and the backward-only term -bw.  L2 is not on the tape."""
+    if not sentences:
+        raise ContractError("the objective needs a non-empty batch")
     fw_total, bw_total = nll_sums(sentences, params, mode)
     return ad.scale(ad.add(fw_total, bw_total), -0.5), ad.scale(bw_total, -1.0)
 
@@ -231,18 +233,6 @@ def l2_penalty(params: ModelParameters, coefficient: float) -> float:
         return 0.0
     total = sum(float(np.vdot(t.values, t.values)) for _, t in params.named_tensors())
     return 0.5 * coefficient * total
-
-
-def loss(batch: Batch | list[EncodedSentence], params: ModelParameters,
-         config: TrainingConfig, mode: m.Mode) -> Tensor:
-    """Full training objective for one batch as a tape scalar.  The L2
-    penalty enters as a constant, so `backward` on it yields the
-    log-likelihood gradient only; `step_gradients` adds l2 * theta."""
-    sentences = batch.sentences if isinstance(batch, Batch) else batch
-    if not sentences:
-        raise ContractError("loss needs a non-empty batch")
-    full, _ = objective(sentences, params, mode)
-    return ad.add_scalar(full, l2_penalty(params, config.l2))
 
 
 def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mode: m.Mode,
@@ -298,14 +288,17 @@ def predict_corpus(params: ModelParameters, sentences: list[EncodedSentence]) ->
     return out
 
 
-def evaluate(params: ModelParameters, split: list[EncodedSentence], vocabs: VocabSet) -> EvalReport:
-    """Greedy inference over a split followed by the metric suite."""
+def evaluate(params: ModelParameters, split: list[EncodedSentence], vocabs: VocabSet,
+             pred_ids: list[np.ndarray] | None = None) -> EvalReport:
+    """Greedy inference over a split followed by the metric suite; given
+    `pred_ids` from `predict_corpus`, it scores those instead."""
     if not split:
         raise ContractError("cannot evaluate an empty split")
     for sent in split:
         if sent.label_ids is None:
             raise ContractError("evaluation split contains an unlabeled sentence")
-    pred_ids = predict_corpus(params, split)
+    if pred_ids is None:
+        pred_ids = predict_corpus(params, split)
     gold = [decode_labels(s.label_ids, vocabs) for s in split]
     pred = [decode_labels(p, vocabs) for p in pred_ids]
     return evaluate_tags(gold, pred)
@@ -330,13 +323,7 @@ def _model_dims(config: TrainingConfig, vocabs: VocabSet) -> ModelDims:
         n_chars=len(vocabs.char),
         n_labels=len(vocabs.label),
         n_feats=tuple(len(v) for v in vocabs.feats),
-        word_dim=config.word_dim,
-        char_dim=config.char_dim,
-        char_hidden=config.char_hidden,
-        label_dim=config.label_dim,
-        feat_dim=config.feat_dim,
-        hidden=config.hidden,
-        blocks=config.blocks,
+        **{name: getattr(config, name) for name in ModelDims.layer_names()},
     )
 
 
@@ -522,24 +509,22 @@ def _micro_fixture(seed: int):
     return params, batch
 
 
-def run_gradient_check(seed: int = 1, tolerance: float = 1e-4, h: float = 1e-5,
-                       l2: float = 0.01) -> tuple[dict[str, float], bool]:
-    """Compare the gradients the trainer applies on the micro instance,
+def gradient_errors(params: ModelParameters, batch: list[EncodedSentence], make_mode,
+                    l2: float = 0.01, h: float = 1e-5) -> dict[str, float]:
+    """Max relative error per tensor of the gradients the trainer applies,
     from `step_gradients` in both regimes, against central finite
     differences: the full objective with L2 for every tensor in the single
     regime and for group A in the dual one, the backward-only term for
-    group B.  Returns the max relative error per tensor over the checks
-    that apply to it, and whether all passed the tolerance."""
-    params, batch = _micro_fixture(seed)
-    mode = m.Mode(training=True, dropout_p=0.0, rng=None)
+    group B.  `make_mode()` gives each evaluation its own Mode, so a
+    seeded one repeats its dropout mask."""
     _, group_b = dual_parameter_groups(params)
-    step_gradients(batch, params, mode, l2)
+    step_gradients(batch, params, make_mode(), l2)
     single = {name: t.grad.copy() for name, t in params.named_tensors()}
-    step_gradients(batch, params, mode, l2, group_b)
+    step_gradients(batch, params, make_mode(), l2, group_b)
     dual = {name: t.grad.copy() for name, t in params.named_tensors()}
 
     def objectives():
-        full, bw_term = objective(batch, params, mode)
+        full, bw_term = objective(batch, params, make_mode())
         return float(full.values) + l2_penalty(params, l2), float(bw_term.values)
 
     errors = {}
@@ -547,4 +532,14 @@ def run_gradient_check(seed: int = 1, tolerance: float = 1e-4, h: float = 1e-5,
         fd_full, fd_bw = ad.numeric_gradients(objectives, tensor, h=h)
         errors[name] = max(ad.relative_error(single[name], fd_full),
                            ad.relative_error(dual[name], fd_bw if name in group_b else fd_full))
+    return errors
+
+
+def run_gradient_check(seed: int = 1, tolerance: float = 1e-4, h: float = 1e-5,
+                       l2: float = 0.01) -> tuple[dict[str, float], bool]:
+    """`gradient_errors` on the micro instance without dropout, and whether
+    every error is below `tolerance`."""
+    params, batch = _micro_fixture(seed)
+    no_dropout = m.Mode(training=True, dropout_p=0.0, rng=None)
+    errors = gradient_errors(params, batch, lambda: no_dropout, l2, h)
     return errors, all(err < tolerance for err in errors.values())

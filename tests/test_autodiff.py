@@ -126,6 +126,17 @@ class TestElementwise:
 
         _fd_check(build, [x, b])
 
+    def test_scalar_shift_and_scale_gradient(self):
+        rng = SplitMix64(43)
+        x = Tensor(_rand(rng, (4,)), requires_grad=True, name="x")
+        y = Tensor(_rand(rng, (4,)), requires_grad=True, name="y")
+
+        def build():
+            # (1 - x) * y, as the GRU forms its update-gate complement
+            return ad.tensor_sum(ad.mul(ad.add_scalar(ad.scale(x, -1.0), 1.0), y))
+
+        _fd_check(build, [x, y])
+
     def test_relu_gradient(self):
         x = Tensor([-1.0, 0.5, 2.0], requires_grad=True)
         with Tape():
@@ -392,18 +403,6 @@ class TestBackward:
             return ad.tensor_sum(ad.log_softmax(ad.tanh(ad.matmul(x, w)))).values.copy()
 
         assert np.array_equal(run(), run())
-
-
-class TestOperatorSugar:
-    def test_mixed_expression_gradient(self):
-        rng = SplitMix64(43)
-        x = Tensor(_rand(rng, (4,)), requires_grad=True, name="x")
-        y = Tensor(_rand(rng, (4,)), requires_grad=True, name="y")
-
-        def build():
-            return ((1.0 - x) * y + (x - 0.25) * 2.0 - y).sum()
-
-        _fd_check(build, [x, y])
 
 
 class TestCorruptionHook:

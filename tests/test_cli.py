@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from seqtag import cli, training
 from seqtag.cli import main
 from seqtag.serialization import load_model
 
@@ -204,6 +205,26 @@ class TestEval:
                      "--token-col", "0", "--label-col", "1"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_dump_predicts_once(self, trained, tmp_path, monkeypatch):
+        corpus_dir, model = trained
+        calls = []
+        original = training.predict_corpus
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(training, "predict_corpus", counted)
+        monkeypatch.setattr(cli, "predict_corpus", counted)
+        assert main(["eval", "--model", str(model), "--data", str(corpus_dir / "test.conll"),
+                     "--dump", str(tmp_path / "dump.conll")]) == 0
+        assert len(calls) == 1
+
+    def test_dump_of_unlabeled_data_exits_two(self, trained, tmp_path):
+        corpus_dir, model = trained
+        assert main(["eval", "--model", str(model), "--data", str(corpus_dir / "test.conll"),
+                     "--label-col", "none", "--dump", str(tmp_path / "dump.conll")]) == 2
 
 
 class TestTag:

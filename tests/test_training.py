@@ -17,6 +17,7 @@ from seqtag.data import (
     build_vocabularies,
     encode_corpus,
     make_synthetic_corpus,
+    stream_chunks,
 )
 from seqtag import training
 from seqtag.errors import ConfigError, ContractError, IngestionError, TrainingError
@@ -29,7 +30,6 @@ from seqtag.training import (
     TrainingConfig,
     dual_parameter_groups,
     evaluate,
-    loss,
     multi_run,
     nll_sums,
     run_gradient_check,
@@ -80,14 +80,14 @@ class TestLoss:
         # all-zero parameters make every row uniform over the label set
         params, enc, vocabs = zero_param_fixture()
         config = TrainingConfig(l2=0.0)
-        value = float(loss(enc[:1], params, config, TRAIN_MODE).values)
+        value = training.step_gradients(enc[:1], params, TRAIN_MODE, config.l2)
         assert value == pytest.approx(math.log(len(vocabs.label)))
 
     def test_quadratic_penalty_vanishes_at_origin(self):
         params, enc, vocabs = zero_param_fixture()
         for _, t in params.named_tensors():
             t.values[:] = 0.0  # true origin: normalisation gains included
-        with_l2 = float(loss(enc[:1], params, TrainingConfig(l2=0.7), TRAIN_MODE).values)
+        with_l2 = training.step_gradients(enc[:1], params, TRAIN_MODE, 0.7)
         assert with_l2 == pytest.approx(math.log(len(vocabs.label)))
 
     def test_penalty_strictly_increases_with_coefficient(self):
@@ -100,7 +100,7 @@ class TestLoss:
         )
         params = ModelParameters(dims, SplitMix64(2))  # nonzero point
         values = [
-            float(loss(enc[:2], params, TrainingConfig(l2=c), TRAIN_MODE).values)
+            training.step_gradients(enc[:2], params, TRAIN_MODE, c)
             for c in (0.0, 0.1, 0.2, 0.5)
         ]
         assert values == sorted(values)
@@ -116,14 +116,14 @@ class TestLoss:
         )
         params = ModelParameters(dims, SplitMix64(9))
         config = TrainingConfig(l2=0.05)
-        engine = float(loss(enc[:2], params, config, TRAIN_MODE).values)
+        engine = training.step_gradients(enc[:2], params, TRAIN_MODE, config.l2)
         raw = {name: t.values for name, t in params.named_tensors()}
         assert engine == pytest.approx(oracle.loss_value(raw, enc[:2], l2=0.05), abs=1e-10)
 
     def test_empty_batch_rejected(self):
         params, _, _ = zero_param_fixture()
         with pytest.raises(ContractError):
-            loss([], params, TrainingConfig(), TRAIN_MODE)
+            training.step_gradients([], params, TRAIN_MODE, 0.0)
 
 
 class TestAdam:
@@ -131,9 +131,7 @@ class TestAdam:
         params, enc, _ = zero_param_fixture()
         before = params.snapshot()
         opt = Adam([t for _, t in params.named_tensors()], lr=0.0)
-        params.zero_grads()
-        with Tape():
-            backward(loss(enc, params, TrainingConfig(l2=0.0), TRAIN_MODE))
+        training.step_gradients(enc, params, TRAIN_MODE, 0.0)
         opt.step()
         for name, t in params.named_tensors():
             np.testing.assert_array_equal(t.values, before[name])
@@ -323,9 +321,7 @@ class TestTrainDual:
         monkeypatch.undo()
 
         start = recorded["start"]
-        start.zero_grads()
-        with Tape():
-            backward(loss(recorded["batch"], start, config, TRAIN_MODE))
+        training.step_gradients(recorded["batch"], start, TRAIN_MODE, config.l2)
         assert len(recorded["grad_a"]) > 50
         for name, grad in recorded["grad_a"].items():
             np.testing.assert_array_equal(grad, start.get(name).grad, err_msg=name)
@@ -607,39 +603,25 @@ class TestGradientCheckHarness:
         assert not ok
 
 
-def _step_gradient_errors(params, batch, make_mode, l2=0.01, h=1e-5):
-    """Max relative error per tensor of `step_gradients` in both regimes
-    against central finite differences; `make_mode()` gives each
-    evaluation its own Mode, so a seeded one repeats its dropout mask."""
-    _, group_b = dual_parameter_groups(params)
-    training.step_gradients(batch, params, make_mode(), l2)
-    single = {name: t.grad.copy() for name, t in params.named_tensors()}
-    training.step_gradients(batch, params, make_mode(), l2, group_b)
-    dual = {name: t.grad.copy() for name, t in params.named_tensors()}
-
-    def objectives():
-        full, bw_term = training.objective(batch, params, make_mode())
-        return float(full.values) + training.l2_penalty(params, l2), float(bw_term.values)
-
-    errors = {}
-    for name, tensor in params.named_tensors():
-        fd_full, fd_bw = ad.numeric_gradients(objectives, tensor, h=h)
-        errors[name] = max(ad.relative_error(single[name], fd_full),
-                           ad.relative_error(dual[name], fd_bw if name in group_b else fd_full))
-    return errors
-
-
 class TestGradientCheckWrapperSettings:
     def test_plain_model_without_blocks(self):
         params, batch = training._micro_fixture(1)
         plain = ModelParameters(replace(params.dims, blocks=False), SplitMix64(1))
-        errors = _step_gradient_errors(plain, batch, lambda: TRAIN_MODE)
+        errors = training.gradient_errors(plain, batch, lambda: TRAIN_MODE)
         assert not any(".norm" in name or ".proj" in name for name in errors)
         assert max(errors.values()) < 1e-4, max(errors, key=errors.get)
 
     def test_dropout_with_a_fixed_mask(self):
         params, batch = training._micro_fixture(1)
-        errors = _step_gradient_errors(
+        errors = training.gradient_errors(
             params, batch, lambda: m.Mode(training=True, dropout_p=0.3, rng=SplitMix64(7)))
+        assert len(errors) == len(params.names())
+        assert max(errors.values()) < 1e-4, max(errors, key=errors.get)
+
+    def test_stream_chunk_with_a_sentence_boundary_inside(self):
+        params, batch = training._micro_fixture(1)
+        chunk = next(c for c in stream_chunks(batch, 4) if c.origin == "chunk@1")
+        assert [len(s) for s in chunk.sentences] == [2, 1]
+        errors = training.gradient_errors(params, chunk.sentences, lambda: TRAIN_MODE)
         assert len(errors) == len(params.names())
         assert max(errors.values()) < 1e-4, max(errors, key=errors.get)

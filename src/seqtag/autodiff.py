@@ -30,8 +30,9 @@ from .rng import SplitMix64
 _ids = itertools.count()
 _tls = threading.local()
 
-# Verification hook: scales the tanh backward rule so the gradient
-# checker can prove it detects a wrong derivative.  1.0 in normal use.
+# Verification hook: scales every tanh derivative (the `tanh` op and the
+# GRU candidate in `gru_scan`) so the gradient checker can prove it
+# detects a wrong derivative.  1.0 in normal use.
 _tanh_backward_scale = 1.0
 
 
@@ -148,13 +149,15 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.values * c, (a,), lambda g: (g * c,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so exp never
+    overflows; both branches share e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(a.values)
     return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -168,13 +171,21 @@ def relu(a: Tensor) -> Tensor:
     return _emit(a.values * mask, (a,), lambda g: (g * mask,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, n: int = 1) -> Tensor:
+    """a @ b.  With n > 1, a stacks n equal row blocks (positions) and the
+    forward multiplies each block on its own: BLAS rounds a GEMM
+    differently depending on its shape, so only the per-position shape
+    gives the bits of a per-position loop.  The backward multiplies whole
+    stacks."""
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree, {av.shape} vs {bv.shape}")
-    return _emit(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    if n < 1 or av.shape[0] % n:
+        raise DimensionError(f"matmul: {av.shape[0]} rows do not split into {n} blocks")
+    out = np.matmul(av.reshape(n, av.shape[0] // n, -1), bv).reshape(av.shape[0], bv.shape[1])
+    return _emit(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -319,17 +330,106 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _emit(xhat * gv + bias.values, (x, gain, bias), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None) -> Tensor:
+def block_sum(x: Tensor, n: int) -> Tensor:
+    """Sum of the n equal row blocks of x, added in block order:
+    x[0:B] + x[B:2B] + ... with B = rows / n."""
+    xv = x.values
+    if n < 1 or xv.shape[0] % n:
+        raise DimensionError(f"block_sum: {xv.shape[0]} rows do not split into {n} blocks")
+    blocks = xv.reshape(n, xv.shape[0] // n, *xv.shape[1:])
+    out = blocks[0].copy()
+    for block in blocks[1:]:
+        out += block
+    return _emit(out, (x,), lambda g: (np.concatenate([g] * n),))
+
+
+def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
+             u: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
+             n: int, reverse: bool = False) -> Tensor:
+    """A whole GRU recurrence as one tape entry.
+
+    `x` (n*B, D) stacks n positions of B rows, row i*B + b being position
+    i; `h0` (B, H) is the initial state; `w`, `u` and `b` are the
+    (z, r, candidate) input weights, recurrent weights and biases.  Each
+    step computes
+
+        z = sigmoid((x W_z + h U_z) + b_z), r likewise,
+        c = tanh((x W_h + (r*h) U_h) + b_h),  h' = (1 - z) h + z c
+
+    over positions 0..n-1, or n-1..0 when `reverse`.  The x W products of
+    every position are taken before the loop, block by block (the GEMM
+    shapes of a per-position step, see `matmul`).  Returns the (n*B, H)
+    states in position order.  The backward pass is backpropagation
+    through time; the weight gradients come from whole-stack GEMMs."""
+    xv = x.values
+    rows = xv.shape[0]
+    hid = h0.values.shape[-1]
+    if (xv.ndim != 2 or n < 1 or rows % n or h0.values.shape != (rows // n, hid)
+            or any(t.values.shape != (xv.shape[1], hid) for t in w)
+            or any(t.values.shape != (hid, hid) for t in u)
+            or any(t.values.shape != (hid,) for t in b)):
+        raise DimensionError(
+            f"gru_scan: x {xv.shape} over {n} positions, h0 {h0.values.shape}, "
+            f"w {[t.values.shape for t in w]}, u {[t.values.shape for t in u]}, "
+            f"b {[t.values.shape for t in b]}"
+        )
+    bsz = rows // n
+    (u_z, u_r, u_h), (b_z, b_r, b_h) = (t.values for t in u), (t.values for t in b)
+    xw_z, xw_r, xw_h = (np.matmul(xv.reshape(n, bsz, -1), t.values) for t in w)
+    prev, states, zs, rs, cands = (np.empty((n, bsz, hid)) for _ in range(5))
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    h = h0.values
+    for i in order:
+        prev[i] = h
+        z = zs[i] = _sigmoid((xw_z[i] + h @ u_z) + b_z)
+        r = rs[i] = _sigmoid((xw_r[i] + h @ u_r) + b_r)
+        c = cands[i] = np.tanh((xw_h[i] + (r * h) @ u_h) + b_h)
+        h = states[i] = (1.0 - z) * h + z * c
+
+    def back(g):
+        g = g.reshape(n, bsz, hid)
+        da = np.empty((n, bsz, 3 * hid))
+        u_zr = np.concatenate([u_z, u_r], axis=1)
+        dh = np.zeros((bsz, hid))
+        for i in reversed(order):
+            dh = dh + g[i]
+            z, r, c, hp = zs[i], rs[i], cands[i], prev[i]
+            dc = dh * z * (1.0 - c * c) * _tanh_backward_scale
+            drh = dc @ u_h.T
+            da[i, :, :hid] = dh * (c - hp) * z * (1.0 - z)
+            da[i, :, hid:2 * hid] = drh * hp * r * (1.0 - r)
+            da[i, :, 2 * hid:] = dc
+            dh = dh * (1.0 - z) + drh * r + da[i, :, :2 * hid] @ u_zr.T
+        da = da.reshape(rows, 3 * hid)
+        dx = da @ np.concatenate([t.values for t in w], axis=1).T
+        dw = xv.T @ da
+        flat_prev = prev.reshape(rows, hid)
+        du_zr = flat_prev.T @ da[:, :2 * hid]
+        du_h = (rs.reshape(rows, hid) * flat_prev).T @ da[:, 2 * hid:]
+        db = da.sum(axis=0)
+        parts = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
+        return (dx, dh, *(dw[:, k] for k in parts), du_zr[:, :hid], du_zr[:, hid:], du_h,
+                *(db[k] for k in parts))
+
+    return _emit(states.reshape(rows, hid), (x, h0, *w, *u, *b), back)
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None,
+            n: int = 1, reverse: bool = False) -> Tensor:
     """Inverted dropout: zero with probability p and rescale survivors by
-    1/(1-p) in training mode; identity in evaluation mode."""
+    1/(1-p) in training mode; identity in evaluation mode.  With `reverse`
+    the masks of x's n row blocks are drawn last block first, the order of
+    a loop from position n-1 down to 0."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ContractError("training-mode dropout needs a generator")
-    keep = (rng.floats(x.values.size) >= p).reshape(x.values.shape)
-    factor = keep / (1.0 - p)
+    keep = rng.floats(x.values.size) >= p
+    if reverse:
+        keep = keep.reshape(n, -1)[::-1]
+    factor = keep.reshape(x.values.shape) / (1.0 - p)
     return _emit(x.values * factor, (x,), lambda g: (g * factor,))
 
 

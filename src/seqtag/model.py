@@ -1,9 +1,12 @@
 """The tagging network: character-aware encoder, two label-context
 decoders, and the combined output rule.
 
-All sequence functions take a batch of equal-length sentences and carry
-per-position tensors of shape (batch, width).  The encoder and both
-decoders run their recurrent layer inside a residual wrapper:
+All sequence functions take a batch of B equal-length sentences of N
+positions and carry one stacked, position-major tensor of shape
+(N*B, width): row i*B + b holds position i of sentence b.  Every
+position-wise layer runs once on the stack; a recurrence is one
+`autodiff.gru_scan` over it.  The encoder and both decoders run their
+recurrent layer inside a residual wrapper:
 
     x_hat = Norm1(project(x))
     h     = recurrent(x_hat)             # hidden chain carries raw h
@@ -18,7 +21,6 @@ dropout), which is the plain configuration used as a training baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import reduce
 
 import numpy as np
 
@@ -146,17 +148,15 @@ class FeedForward:
         self.w2 = store.matrix(f"{prefix}.w2", (inner, width))
         self.b2 = store.zeros(f"{prefix}.b2", (width,))
 
-    def apply(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, self.w1), self.b1)), self.w2), self.b2)
+    def apply(self, x: Tensor, n: int = 1) -> Tensor:
+        inner = ad.relu(ad.add(ad.matmul(x, self.w1, n), self.b1))
+        return ad.add(ad.matmul(inner, self.w2, n), self.b2)
 
 
-def _scan(step, n: int, carry, reverse: bool = False) -> list:
-    """The one recurrence loop: `step(i, carry) -> (out_i, carry)` over
-    positions 0..n-1, or n-1..0 when `reverse`; outputs in position order."""
-    outs = [None] * n
-    for i in range(n - 1, -1, -1) if reverse else range(n):
-        outs[i], carry = step(i, carry)
-    return outs
+def _position_major(rows) -> np.ndarray:
+    """Flatten B equal-length id sequences so that entry i*B + b is
+    position i of sequence b."""
+    return np.array(rows, dtype=np.int64).T.reshape(-1)
 
 
 class GruCell:
@@ -177,24 +177,18 @@ class GruCell:
         self.u_h = store.matrix(f"{prefix}.u_h", (hidden_dim, hidden_dim))
         self.b_h = store.zeros(f"{prefix}.b_h", (hidden_dim,))
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, self.w_z), ad.matmul(h, self.u_z)), self.b_z))
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, self.w_r), ad.matmul(h, self.u_r)), self.b_r))
-        cand = ad.tanh(
-            ad.add(ad.add(ad.matmul(x, self.w_h), ad.matmul(ad.mul(r, h), self.u_h)), self.b_h)
-        )
-        return ad.add(ad.mul(ad.add_scalar(ad.scale(z, -1.0), 1.0), h), ad.mul(z, cand))
+    def scan(self, x: Tensor, h0: Tensor, n: int, reverse: bool = False) -> Tensor:
+        """The hidden state at every row of the stacked `x` (n positions),
+        starting from `h0` (B, hidden)."""
+        return ad.gru_scan(x, h0, (self.w_z, self.w_r, self.w_h), (self.u_z, self.u_r, self.u_h),
+                           (self.b_z, self.b_r, self.b_h), n, reverse)
 
-    def scan(self, xs: list[Tensor], h0: Tensor, reverse: bool = False) -> list[Tensor]:
-        """The hidden state at every position of `xs`, starting from `h0`."""
-        def step(i, h):
-            h = self.step(xs[i], h)
-            return h, h
-        return _scan(step, len(xs), ad.tile_rows(h0, xs[0].values.shape[0]), reverse)
+    def step(self, x: Tensor, h: Tensor) -> Tensor:
+        return self.scan(x, h, 1)
 
 
 class BiGru:
-    """Forward and backward cells; output per position is [fw_i, bw_i]."""
+    """Forward and backward cells; output row of position i is [fw_i, bw_i]."""
 
     def __init__(self, store: _Store, prefix: str, input_dim: int, hidden_dim: int):
         self.fw = GruCell(store, f"{prefix}.fw", input_dim, hidden_dim)
@@ -202,10 +196,10 @@ class BiGru:
         self.h0_fw = store.zeros(f"{prefix}.h0_fw", (hidden_dim,))
         self.h0_bw = store.zeros(f"{prefix}.h0_bw", (hidden_dim,))
 
-    def run(self, xs: list[Tensor]) -> list[Tensor]:
-        fw_states = self.fw.scan(xs, self.h0_fw)
-        bw_states = self.bw.scan(xs, self.h0_bw, reverse=True)
-        return [ad.concat([f, b]) for f, b in zip(fw_states, bw_states)]
+    def run(self, x: Tensor, n: int) -> Tensor:
+        bsz = x.values.shape[0] // n
+        return ad.concat([self.fw.scan(x, ad.tile_rows(self.h0_fw, bsz), n),
+                          self.bw.scan(x, ad.tile_rows(self.h0_bw, bsz), n, reverse=True)])
 
 
 class ResidualBlock:
@@ -226,17 +220,20 @@ class ResidualBlock:
         else:
             self.rnn = rnn_type(store, f"{prefix}.gru", input_dim, rnn_hidden)
 
-    def enter(self, x: Tensor) -> Tensor:
+    def enter(self, x: Tensor, n: int = 1) -> Tensor:
         if not self._blocks:
             return x
-        return self.norm1.apply(ad.matmul(x, self.proj))
+        return self.norm1.apply(ad.matmul(x, self.proj, n))
 
-    def leave(self, h: Tensor, x_hat: Tensor, mode: Mode) -> Tensor:
+    def leave(self, h: Tensor, x_hat: Tensor, mode: Mode, n: int = 1,
+              reverse: bool = False) -> Tensor:
+        """`n` and `reverse` are the stack's positions and the recurrence's
+        direction: dropout draws its masks in the recurrence's order."""
         if not self._blocks:
             return h
-        dropped = ad.dropout(h, mode.dropout_p, mode.training, mode.rng)
+        dropped = ad.dropout(h, mode.dropout_p, mode.training, mode.rng, n, reverse)
         y = self.norm2.apply(ad.add(dropped, x_hat))
-        return ad.add(self.ffnn.apply(y), y)
+        return ad.add(self.ffnn.apply(y, n), y)
 
 
 class ModelParameters:
@@ -319,40 +316,36 @@ def char_represent(char_ids, params: ModelParameters) -> Tensor:
 def _char_group_rep(params: ModelParameters, rows: list[tuple[int, ...]]) -> Tensor:
     """Representation for a group of words with equal character count."""
     length = len(rows[0])
-    xs = [ad.take_rows(params.char_table, [row[t] for row in rows]) for t in range(length)]
-    total = reduce(ad.add, params.char_bigru.run(xs))
+    x = ad.take_rows(params.char_table, _position_major(rows))
+    total = ad.block_sum(params.char_bigru.run(x, length), length)
     return ad.tanh(ad.add(ad.matmul(total, params.char_ffnn_w), params.char_ffnn_b))
 
 
-def _char_position_reps(batch: list[EncodedSentence], params: ModelParameters) -> list[Tensor]:
-    """Per-position character representations for the whole batch, words
+def _char_position_reps(batch: list[EncodedSentence], params: ModelParameters) -> Tensor:
+    """Stacked character representations of the whole batch, words
     grouped by character count so each group runs as one recurrence."""
-    n = len(batch[0])
+    bsz = len(batch)
     groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for b, sent in enumerate(batch):
         for i, chars in enumerate(sent.char_ids):
             if len(chars) == 0:
                 raise ContractError(f"empty token at sentence {b} position {i}")
-            groups.setdefault(len(chars), []).append((b * n + i, chars))
+            groups.setdefault(len(chars), []).append((i * bsz + b, chars))
     reps = []
-    row_of = {}
+    row_of = np.empty(bsz * len(batch[0]), dtype=np.int64)
     offset = 0
     for length in sorted(groups):
         members = groups[length]
         reps.append(_char_group_rep(params, [chars for _, chars in members]))
-        for k, (flat, _) in enumerate(members):
-            row_of[flat] = offset + k
+        for k, (row, _) in enumerate(members):
+            row_of[row] = offset + k
         offset += len(members)
-    stacked = ad.stack_rows(reps)
-    return [
-        ad.take_rows(stacked, [row_of[b * n + i] for b in range(len(batch))])
-        for i in range(n)
-    ]
+    return ad.take_rows(ad.stack_rows(reps), row_of)
 
 
-def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) -> list[Tensor]:
+def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) -> Tensor:
     """Context-sensitive representation of every position; the batch must
-    hold equal-length sentences.  Returns N tensors of shape (B, width)."""
+    hold equal-length sentences.  Returns the stacked (N*B, width) tensor."""
     if not batch:
         raise ContractError("encode needs a non-empty batch")
     n = len(batch[0])
@@ -365,77 +358,97 @@ def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) ->
             raise ContractError(
                 f"sentence has {len(sent.feat_ids)} feature columns, model expects {len(params.feat_tables)}"
             )
-    char_reps = _char_position_reps(batch, params)
-    lex = []
-    for i in range(n):
-        parts = [
-            ad.take_rows(params.word_table, [sent.word_ids[i] for sent in batch]),
-            char_reps[i],
-        ]
-        parts += [
-            ad.take_rows(table, [sent.feat_ids[k][i] for sent in batch])
-            for k, table in enumerate(params.feat_tables)
-        ]
-        lex.append(ad.concat(parts))
-    x_hat = [params.enc.enter(x) for x in lex]
-    hidden = params.enc.rnn.run(x_hat)
-    return [params.enc.leave(h, x, mode) for h, x in zip(hidden, x_hat)]
+    parts = [
+        ad.take_rows(params.word_table, _position_major([sent.word_ids for sent in batch])),
+        _char_position_reps(batch, params),
+    ]
+    parts += [
+        ad.take_rows(table, _position_major([sent.feat_ids[k] for sent in batch]))
+        for k, table in enumerate(params.feat_tables)
+    ]
+    x_hat = params.enc.enter(ad.concat(parts), n)
+    return params.enc.leave(params.enc.rnn.run(x_hat, n), x_hat, mode, n)
 
 
-def _decode(enc_outs: list[Tensor], params: ModelParameters, mode: Mode,
+def _decode(enc: Tensor, n: int, params: ModelParameters, mode: Mode,
             teacher_labels: np.ndarray | None, block: ResidualBlock, h0: Tensor,
             out_w: Tensor, out_b: Tensor, out_inputs, reverse: bool):
-    """One label decoder.  The scan carries the raw hidden state and the
-    context label: the gold label under teacher forcing, otherwise the
-    decoder's own argmax.  `out_inputs(i, state)` lists what the output
-    layer reads at position i.  Returns (states, log_probs, predictions)."""
-    n = len(enc_outs)
-    n_rows = enc_outs[0].values.shape[0]
-    preds = np.zeros((n_rows, n), dtype=np.int64)
+    """One label decoder over the stacked encoder output of n positions.
+    The context label of a position is the gold label of the one before
+    it in decoding order under teacher forcing, so every position-wise
+    layer runs once on the stack and the recurrence is one `gru_scan`.
+    Greedy decoding feeds back its own argmax, one position at a time.
+    `out_inputs(at, state)` lists what the output layer reads, `at(t)`
+    giving the current rows of a stacked tensor t.  Returns (states,
+    log_probs, predictions): stacked tensors and (B, N) label ids."""
+    bsz = enc.values.shape[0] // n
 
-    def step(i, carry):
-        h, context = carry
-        x_hat = block.enter(ad.concat([enc_outs[i], ad.take_rows(params.label_table, context)]))
-        h = block.rnn.step(x_hat, h)
-        state = block.leave(h, x_hat, mode)
-        lp = ad.log_softmax(ad.add(ad.matmul(ad.concat(out_inputs(i, state)), out_w), out_b))
-        preds[:, i] = _label_argmax(lp.values)
-        context = teacher_labels[:, i] if teacher_labels is not None else preds[:, i]
-        return (state, lp), (h, context)
+    def output(at, state, positions):
+        logits = ad.matmul(ad.concat(out_inputs(at, state)), out_w, positions)
+        return ad.log_softmax(ad.add(logits, out_b))
 
-    carry = (ad.tile_rows(h0, n_rows), np.full(n_rows, BOUNDARY, dtype=np.int64))
-    outs = _scan(step, n, carry, reverse)
-    return [s for s, _ in outs], [lp for _, lp in outs], preds
+    if teacher_labels is not None:
+        context = np.full((n, bsz), BOUNDARY, dtype=np.int64)
+        if reverse:
+            context[:-1] = teacher_labels.T[1:]
+        else:
+            context[1:] = teacher_labels.T[:-1]
+        x_hat = block.enter(ad.concat([enc, ad.take_rows(params.label_table, context.reshape(-1))]), n)
+        h = block.rnn.scan(x_hat, ad.tile_rows(h0, bsz), n, reverse)
+        states = block.leave(h, x_hat, mode, n, reverse)
+        log_probs = output(lambda t: t, states, n)
+    else:
+        state_rows, lp_rows = [None] * n, [None] * n
+        h = ad.tile_rows(h0, bsz)
+        context = np.full(bsz, BOUNDARY, dtype=np.int64)
+        for i in range(n - 1, -1, -1) if reverse else range(n):
+            rows = np.arange(i * bsz, (i + 1) * bsz)
+
+            def at(t, rows=rows):
+                return ad.take_rows(t, rows)
+
+            x_hat = block.enter(ad.concat([at(enc), ad.take_rows(params.label_table, context)]))
+            h = block.rnn.step(x_hat, h)
+            state_rows[i] = block.leave(h, x_hat, mode)
+            lp_rows[i] = output(at, state_rows[i], 1)
+            context = _label_argmax(lp_rows[i].values)
+        states, log_probs = ad.stack_rows(state_rows), ad.stack_rows(lp_rows)
+    return states, log_probs, _label_argmax(log_probs.values).reshape(n, bsz).T
 
 
 def decode_backward(
-    enc_outs: list[Tensor],
+    enc: Tensor,
+    n: int,
     params: ModelParameters,
     mode: Mode,
     teacher_labels: np.ndarray | None = None,
 ):
-    """Right-to-left decoding.  With `teacher_labels` (B, N) the context
-    label at each step is the gold next label; otherwise the decoder feeds
-    its own argmax predictions.  Returns (states, log_probs, predictions)."""
-    return _decode(enc_outs, params, mode, teacher_labels, params.dec_bw, params.dec_bw_h0,
+    """Right-to-left decoding of the stacked encoder output `enc` (n
+    positions).  With `teacher_labels` (B, N) the context label at each
+    step is the gold next label; otherwise the decoder feeds its own
+    argmax predictions.  Returns (states, log_probs, predictions)."""
+    return _decode(enc, n, params, mode, teacher_labels, params.dec_bw, params.dec_bw_h0,
                    params.out_bw_w, params.out_bw_b,
-                   lambda i, state: [enc_outs[i], state], reverse=True)
+                   lambda at, state: [at(enc), state], reverse=True)
 
 
 def decode_forward(
-    enc_outs: list[Tensor],
-    bw_states: list[Tensor],
+    enc: Tensor,
+    n: int,
+    bw_states: Tensor,
     params: ModelParameters,
     mode: Mode,
     teacher_labels: np.ndarray | None = None,
 ):
     """Left-to-right decoding over encoder states and the right-context
     states produced by `decode_backward`."""
-    if len(bw_states) != len(enc_outs):
-        raise ContractError(f"{len(enc_outs)} encoder states but {len(bw_states)} backward states")
-    return _decode(enc_outs, params, mode, teacher_labels, params.dec_fw, params.dec_fw_h0,
+    if bw_states.values.shape[0] != enc.values.shape[0]:
+        raise ContractError(
+            f"{enc.values.shape[0]} encoder rows but {bw_states.values.shape[0]} backward-state rows"
+        )
+    return _decode(enc, n, params, mode, teacher_labels, params.dec_fw, params.dec_fw_h0,
                    params.out_fw_w, params.out_fw_b,
-                   lambda i, state: [state, enc_outs[i], bw_states[i]], reverse=False)
+                   lambda at, state: [state, at(enc), at(bw_states)], reverse=False)
 
 
 def combine(log_probs_fw: Tensor, log_probs_bw: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -453,11 +466,8 @@ def combine(log_probs_fw: Tensor, log_probs_bw: Tensor) -> tuple[Tensor, np.ndar
 def predict_batch(params: ModelParameters, batch: list[EncodedSentence]) -> np.ndarray:
     """Greedy inference: (B, N) combined-argmax label ids."""
     enc = encode(batch, params, EVAL)
-    bw_states, bw_lps, _ = decode_backward(enc, params, EVAL)
-    _, fw_lps, _ = decode_forward(enc, bw_states, params, EVAL)
-    n_rows = enc[0].values.shape[0]
-    preds = np.zeros((n_rows, len(enc)), dtype=np.int64)
-    for i in range(len(enc)):
-        combined, _ = combine(fw_lps[i], bw_lps[i])
-        preds[:, i] = _label_argmax(combined.values)
-    return preds
+    n = len(batch[0])
+    bw_states, bw_lps, _ = decode_backward(enc, n, params, EVAL)
+    _, fw_lps, _ = decode_forward(enc, n, bw_states, params, EVAL)
+    combined, _ = combine(fw_lps, bw_lps)
+    return _label_argmax(combined.values).reshape(n, len(batch)).T

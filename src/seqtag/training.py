@@ -205,15 +205,12 @@ def nll_sums(batch: list[EncodedSentence], params: ModelParameters, mode: m.Mode
         sub = [batch[i] for i in groups[length]]
         gold = _teacher_matrix(sub)
         enc = m.encode(sub, params, mode)
-        bw_states, bw_lps, _ = m.decode_backward(enc, params, mode, teacher_labels=gold)
-        _, fw_lps, _ = m.decode_forward(enc, bw_states, params, mode, teacher_labels=gold)
-        fw_acc = ad.pick(fw_lps[0], gold[:, 0])
-        bw_acc = ad.pick(bw_lps[0], gold[:, 0])
-        for i in range(1, length):
-            fw_acc = ad.add(fw_acc, ad.pick(fw_lps[i], gold[:, i]))
-            bw_acc = ad.add(bw_acc, ad.pick(bw_lps[i], gold[:, i]))
-        fw_parts.append(ad.tensor_sum(fw_acc))
-        bw_parts.append(ad.tensor_sum(bw_acc))
+        bw_states, bw_lps, _ = m.decode_backward(enc, length, params, mode, teacher_labels=gold)
+        _, fw_lps, _ = m.decode_forward(enc, length, bw_states, params, mode, teacher_labels=gold)
+        # per-sentence sums added position by position, then over the batch
+        gold_rows = gold.T.reshape(-1)
+        fw_parts.append(ad.tensor_sum(ad.block_sum(ad.pick(fw_lps, gold_rows), length)))
+        bw_parts.append(ad.tensor_sum(ad.block_sum(ad.pick(bw_lps, gold_rows), length)))
     return reduce(ad.add, fw_parts), reduce(ad.add, bw_parts)
 
 

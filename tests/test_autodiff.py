@@ -69,6 +69,28 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_blocked_forward_equals_each_block_alone(self):
+        # 6 blocks of 23 rows, 18 columns: a shape whose whole-stack GEMM
+        # OpenBLAS 0.3.31 rounds differently from the per-block GEMMs
+        rng = SplitMix64(53)
+        a = Tensor(_rand(rng, (6 * 23, 30)))
+        b = Tensor(_rand(rng, (30, 18)))
+        out = ad.matmul(a, b, 6).values
+        for i in range(6):
+            block = slice(23 * i, 23 * (i + 1))
+            np.testing.assert_array_equal(out[block], a.values[block].copy() @ b.values)
+
+    def test_blocked_gradient_matches_finite_differences(self):
+        rng = SplitMix64(54)
+        a = Tensor(_rand(rng, (3 * 2, 4)), requires_grad=True, name="a")
+        b = Tensor(_rand(rng, (4, 3)), requires_grad=True, name="b")
+        w = Tensor(_rand(rng, (3 * 2, 3)))
+        _fd_check(lambda: ad.tensor_sum(ad.mul(ad.matmul(a, b, 3), w)), [a, b])
+
+    def test_blocks_must_divide_rows(self):
+        with pytest.raises(DimensionError):
+            ad.matmul(Tensor(np.zeros((5, 2))), Tensor(np.zeros((2, 2))), 2)
+
 
 class TestConcat:
     def test_single_part_is_identity(self):
@@ -99,6 +121,22 @@ class TestElementwise:
 
     def test_tanh_odd(self):
         assert ad.tanh(Tensor([0.0])).values[0] == 0.0
+
+    def test_sigmoid_kernel_equals_two_branch_formula(self):
+        rng = SplitMix64(67)
+        x = np.concatenate([
+            rng.uniform_array((500_000,), -40.0, 40.0),
+            rng.uniform_array((500_000,), -800.0, 800.0),
+            [0.0, -0.0, 710.0, -710.0, 750.0, -750.0, 1e308, -1e308, np.inf, -np.inf],
+        ])
+        with np.errstate(over="raise"):
+            expected = np.empty_like(x)
+            pos = x >= 0
+            expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            expected[~pos] = ex / (1.0 + ex)
+            np.testing.assert_array_equal(ad._sigmoid(x), expected)
+            np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).values, expected)
 
     def test_sigmoid_gradient_matches_central_difference(self):
         x = Tensor([1.5], requires_grad=True)
@@ -277,6 +315,43 @@ class TestDropout:
             return ad.tensor_sum(ad.dropout(x, 0.4, True, SplitMix64(99)))
 
         _fd_check(build, [x])
+
+
+    def test_reverse_draws_the_last_block_first(self):
+        n, rows, width = 4, 2, 3
+        out = ad.dropout(Tensor(np.ones((n * rows, width))), 0.5, True, SplitMix64(61), n,
+                         reverse=True)
+        rng = SplitMix64(61)
+        for i in range(n - 1, -1, -1):
+            keep = (rng.floats(rows * width) >= 0.5).reshape(rows, width)
+            np.testing.assert_array_equal(out.values[i * rows:(i + 1) * rows], keep / 0.5)
+
+    def test_gradient_with_fixed_reversed_mask(self):
+        x = Tensor(SplitMix64(37).uniform_array((4, 3), -1.0, 1.0), requires_grad=True)
+
+        def build():
+            return ad.tensor_sum(ad.dropout(x, 0.4, True, SplitMix64(98), 2, reverse=True))
+
+        _fd_check(build, [x])
+
+
+class TestBlockSum:
+    def test_adds_blocks_in_order(self):
+        x = Tensor(_rand(SplitMix64(59), (5 * 3, 2)))
+        expected = x.values[0:3]
+        for i in range(1, 5):
+            expected = expected + x.values[3 * i:3 * (i + 1)]
+        np.testing.assert_array_equal(ad.block_sum(x, 5).values, expected)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = SplitMix64(60)
+        x = Tensor(_rand(rng, (4 * 3,)), requires_grad=True, name="x")
+        w = Tensor(_rand(rng, (3,)))
+        _fd_check(lambda: ad.tensor_sum(ad.mul(ad.block_sum(x, 4), w)), [x])
+
+    def test_blocks_must_divide_rows(self):
+        with pytest.raises(DimensionError):
+            ad.block_sum(Tensor(np.zeros(5)), 2)
 
 
 class TestGatherOps:

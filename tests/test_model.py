@@ -80,6 +80,70 @@ class TestGruCell:
         out = cell.step(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))))
         assert out.values.shape == (3, 5)
 
+    def _cell_with_biases(self, seed):
+        cell = self._cell(seed)
+        rng = SplitMix64(seed + 100)
+        for t in (cell.b_z, cell.b_r, cell.b_h):
+            t.values = rng.uniform_array(t.values.shape, -0.5, 0.5)
+        return cell, rng
+
+    @staticmethod
+    def _op_by_op_step(cell, x, h):
+        """The GRU step as one tape operation per arithmetic step: the
+        reference the fused scan must reproduce bit for bit."""
+        z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_z), ad.matmul(h, cell.u_z)), cell.b_z))
+        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_r), ad.matmul(h, cell.u_r)), cell.b_r))
+        cand = ad.tanh(
+            ad.add(ad.add(ad.matmul(x, cell.w_h), ad.matmul(ad.mul(r, h), cell.u_h)), cell.b_h)
+        )
+        return ad.add(ad.mul(ad.add_scalar(ad.scale(z, -1.0), 1.0), h), ad.mul(z, cand))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_scan_equals_chained_steps_bit_for_bit(self, reverse):
+        cell, rng = self._cell_with_biases(21)
+        n, rows = 4, 3
+        x = Tensor(rng.uniform_array((n * rows, 4), -2.0, 2.0))
+        h0 = Tensor(rng.uniform_array((rows, 5), -1.0, 1.0))
+        states = cell.scan(x, h0, n, reverse).values
+        h_step = h_ref = h0
+        for i in range(n - 1, -1, -1) if reverse else range(n):
+            x_i = Tensor(x.values[i * rows:(i + 1) * rows])
+            h_step = cell.step(x_i, h_step)
+            h_ref = self._op_by_op_step(cell, x_i, h_ref)
+            np.testing.assert_array_equal(states[i * rows:(i + 1) * rows], h_step.values)
+            np.testing.assert_array_equal(h_step.values, h_ref.values)
+
+    def _scan_loss(self, seed, reverse):
+        cell, rng = self._cell_with_biases(seed)
+        n, rows = 3, 2
+        x = Tensor(rng.uniform_array((n * rows, 4), -1.0, 1.0), requires_grad=True, name="x")
+        h0 = Tensor(rng.uniform_array((rows, 5), -1.0, 1.0), requires_grad=True, name="h0")
+        upstream = Tensor(rng.uniform_array((n * rows, 5), -1.0, 1.0))
+
+        def build():
+            return ad.tensor_sum(ad.mul(cell.scan(x, h0, n, reverse), upstream))
+
+        weights = [cell.w_z, cell.w_r, cell.w_h, cell.u_z, cell.u_r, cell.u_h,
+                   cell.b_z, cell.b_r, cell.b_h]
+        return build, [x, h0] + weights, cell
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_scan_gradient_matches_finite_differences(self, reverse):
+        build, tensors, _ = self._scan_loss(23, reverse)
+        with Tape():
+            backward(build())
+        for t in tensors:
+            fd = ad.numeric_gradient(build, t)
+            assert ad.relative_error(t.grad, fd) < 1e-6, t.name
+
+    def test_scan_candidate_derivative_honours_tanh_corruption(self):
+        build, _, cell = self._scan_loss(25, False)
+        with ad.corrupt_tanh_backward(1.05):
+            with Tape():
+                backward(build())
+        fd = ad.numeric_gradient(build, cell.b_h)
+        assert ad.relative_error(cell.b_h.grad, fd) > 1e-3
+
 
 class TestBiGru:
     def test_reversal_swaps_halves_with_shared_weights(self):
@@ -90,9 +154,9 @@ class TestBiGru:
             getattr(net.bw, gate).values = getattr(net.fw, gate).values.copy()
         net.h0_bw.values = net.h0_fw.values.copy()
         rng = SplitMix64(6)
-        xs = [Tensor(rng.uniform_array((1, 3), -1.0, 1.0)) for _ in range(5)]
-        fwd = [t.values for t in net.run(xs)]
-        rev = [t.values for t in net.run(list(reversed(xs)))]
+        xs = [rng.uniform_array((1, 3), -1.0, 1.0) for _ in range(5)]
+        fwd = list(net.run(Tensor(np.concatenate(xs)), 5).values.reshape(5, 1, -1))
+        rev = list(net.run(Tensor(np.concatenate(xs[::-1])), 5).values.reshape(5, 1, -1))
         hid = 4
         swapped = [np.concatenate([v[:, hid:], v[:, :hid]], axis=1) for v in reversed(fwd)]
         for a, b in zip(rev, swapped):
@@ -101,9 +165,8 @@ class TestBiGru:
     def test_output_is_concat_of_directions(self):
         store = m._Store(SplitMix64(8))
         net = BiGru(store, "g", 2, 3)
-        xs = [Tensor(np.ones((2, 2))) for _ in range(3)]
-        outs = net.run(xs)
-        assert all(o.values.shape == (2, 6) for o in outs)
+        outs = net.run(Tensor(np.ones((3 * 2, 2))), 3)
+        assert outs.values.shape == (3 * 2, 6)
 
 
 class TestCharRepresent:
@@ -119,10 +182,9 @@ class TestCharRepresent:
         params, _, vocabs = tiny_setup()
         cid = vocabs.char.lookup("t")
         rep = char_represent([cid], params)
-        xs = [ad.take_rows(params.char_table, [cid])]
-        states = params.char_bigru.run(xs)
+        states = params.char_bigru.run(ad.take_rows(params.char_table, [cid]), 1)
         expected = ad.tanh(
-            ad.add(ad.matmul(states[0], params.char_ffnn_w), params.char_ffnn_b)
+            ad.add(ad.matmul(states, params.char_ffnn_w), params.char_ffnn_b)
         )
         np.testing.assert_array_equal(rep.values, expected.values)
 
@@ -156,13 +218,12 @@ class TestEncode:
             label_ids=one.label_ids[:1],
         )
         outs = encode([short], params, EVAL)
-        assert len(outs) == 1
-        assert outs[0].values.shape == (1, params.dims.width)
+        assert outs.values.shape == (1, params.dims.width)
 
     def test_eval_mode_is_deterministic(self):
         params, enc, _ = tiny_setup()
-        a = [t.values for t in encode(enc[:2], params, EVAL)]
-        b = [t.values for t in encode(enc[:2], params, EVAL)]
+        a = encode(enc[:2], params, EVAL).values
+        b = encode(enc[:2], params, EVAL).values
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -177,7 +238,7 @@ class TestEncode:
         base = encode([sent], params, EVAL)
         other = encode([modified], params, EVAL)
         # representation at position 0 must feel the change at position 3
-        assert np.max(np.abs(base[0].values - other[0].values)) > 1e-10
+        assert np.max(np.abs(base.values[0] - other.values[0])) > 1e-10
 
     def test_mixed_lengths_rejected(self):
         params, enc, _ = tiny_setup()
@@ -196,7 +257,7 @@ class TestEncode:
             alone = encode([sent], params, EVAL)
             for i in range(len(sent)):
                 np.testing.assert_allclose(
-                    together[i].values[b], alone[i].values[0], atol=1e-12
+                    together.values[i * len(enc) + b], alone.values[i], atol=1e-12
                 )
 
     def test_feature_columns_enter_the_representation(self):
@@ -209,7 +270,7 @@ class TestEncode:
         twin.feat_ids[0][2] = 0  # different feature id at position 2
         a = encode([sent], params, EVAL)
         b = encode([twin], params, EVAL)
-        assert np.max(np.abs(a[2].values - b[2].values)) > 1e-12
+        assert np.max(np.abs(a.values[2] - b.values[2])) > 1e-12
 
 
 class TestDecoders:
@@ -221,9 +282,9 @@ class TestDecoders:
             label_ids=enc[0].label_ids[:1],
         )
         outs = encode([one], params, EVAL)
-        _, lps, _ = decode_backward(outs, params, EVAL)
-        assert len(lps) == 1
-        assert abs(np.exp(lps[0].values).sum() - 1.0) <= 1e-9
+        _, lps, _ = decode_backward(outs, 1, params, EVAL)
+        assert lps.values.shape[0] == 1
+        assert abs(np.exp(lps.values).sum() - 1.0) <= 1e-9
 
     def test_inference_determinism(self):
         params, enc, _ = tiny_setup()
@@ -234,49 +295,52 @@ class TestDecoders:
     def test_every_direction_row_normalises(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:2], params, EVAL)
-        bw_states, bw_lps, _ = decode_backward(outs, params, EVAL)
-        _, fw_lps, _ = decode_forward(outs, bw_states, params, EVAL)
-        for lp in bw_lps + fw_lps:
+        n = len(enc[0])
+        bw_states, bw_lps, _ = decode_backward(outs, n, params, EVAL)
+        _, fw_lps, _ = decode_forward(outs, n, bw_states, params, EVAL)
+        for lp in (bw_lps, fw_lps):
             sums = np.exp(lp.values).sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_length_mismatch_rejected(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:1], params, EVAL)
-        bw_states, _, _ = decode_backward(outs, params, EVAL)
+        n = len(enc[0])
+        bw_states, _, _ = decode_backward(outs, n, params, EVAL)
         with pytest.raises(ContractError):
-            decode_forward(outs, bw_states[:-1], params, EVAL)
+            decode_forward(outs, n, Tensor(bw_states.values[:-1]), params, EVAL)
 
     def test_zeroing_backward_rows_of_output_mat_gives_independence(self):
         params, enc, _ = tiny_setup()
         d = params.dims.width
         params.out_fw_w.values[2 * d :, :] = 0.0
         outs = encode(enc[:1], params, EVAL)
-        bw_states, _, _ = decode_backward(outs, params, EVAL)
-        perturbed = [Tensor(s.values + 0.37) for s in bw_states]
-        _, lps_a, _ = decode_forward(outs, bw_states, params, EVAL)
-        _, lps_b, _ = decode_forward(outs, perturbed, params, EVAL)
-        for a, b in zip(lps_a, lps_b):
-            np.testing.assert_array_equal(a.values, b.values)
+        n = len(enc[0])
+        bw_states, _, _ = decode_backward(outs, n, params, EVAL)
+        perturbed = Tensor(bw_states.values + 0.37)
+        _, lps_a, _ = decode_forward(outs, n, bw_states, params, EVAL)
+        _, lps_b, _ = decode_forward(outs, n, perturbed, params, EVAL)
+        np.testing.assert_array_equal(lps_a.values, lps_b.values)
 
     def test_teacher_forcing_uses_gold_context(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:1], params, EVAL)
         gold = np.stack([enc[0].label_ids])
-        _, lps_gold, _ = decode_backward(outs, params, EVAL, teacher_labels=gold)
+        n = len(enc[0])
+        _, lps_gold, _ = decode_backward(outs, n, params, EVAL, teacher_labels=gold)
         flipped = gold.copy()
         flipped[0, -1] = BOUNDARY  # different context for position N-2
-        _, lps_flip, _ = decode_backward(outs, params, EVAL, teacher_labels=flipped)
-        assert np.max(np.abs(lps_gold[-2].values - lps_flip[-2].values)) > 1e-12
+        _, lps_flip, _ = decode_backward(outs, n, params, EVAL, teacher_labels=flipped)
+        assert np.max(np.abs(lps_gold.values[-2] - lps_flip.values[-2])) > 1e-12
         # position N-1 sees the boundary context either way
-        np.testing.assert_array_equal(lps_gold[-1].values, lps_flip[-1].values)
+        np.testing.assert_array_equal(lps_gold.values[-1], lps_flip.values[-1])
 
     def test_bad_label_id_rejected(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:1], params, EVAL)
         bad = np.full((1, len(enc[0])), params.dims.n_labels, dtype=np.int64)
         with pytest.raises(ContractError):
-            decode_backward(outs, params, EVAL, teacher_labels=bad)
+            decode_backward(outs, len(enc[0]), params, EVAL, teacher_labels=bad)
 
     @pytest.mark.parametrize("blocks", [True, False])
     def test_batched_label_feedback_equals_each_sentence_alone(self, blocks):
@@ -288,8 +352,10 @@ class TestDecoders:
 
         def decode(sents, labels):
             outs = encode(sents, params, EVAL)
-            bw_states, bw_lps, bw_preds = decode_backward(outs, params, EVAL, teacher_labels=labels)
-            _, fw_lps, fw_preds = decode_forward(outs, bw_states, params, EVAL,
+            n = len(sents[0])
+            bw_states, bw_lps, bw_preds = decode_backward(outs, n, params, EVAL,
+                                                          teacher_labels=labels)
+            _, fw_lps, fw_preds = decode_forward(outs, n, bw_states, params, EVAL,
                                                  teacher_labels=labels)
             return bw_lps, fw_lps, bw_preds, fw_preds
 
@@ -299,8 +365,8 @@ class TestDecoders:
                 alone = decode([sent], None if labels is None else labels[b:b + 1])
                 for lps_together, lps_alone in zip(together[:2], alone[:2]):
                     for i in range(len(sent)):
-                        np.testing.assert_allclose(lps_together[i].values[b],
-                                                   lps_alone[i].values[0], rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(lps_together.values[i * len(batch) + b],
+                                                   lps_alone.values[i], rtol=0, atol=1e-12)
                 for preds_together, preds_alone in zip(together[2:], alone[2:]):
                     np.testing.assert_array_equal(preds_together[b], preds_alone[0])
         greedy = predict_batch(params, batch)
@@ -354,16 +420,16 @@ class TestAgainstOracle:
         sent = enc[0]
 
         outs = encode([sent], params, EVAL)
-        bw_states, bw_lps, bw_preds = decode_backward(outs, params, EVAL)
-        _, fw_lps, _ = decode_forward(outs, bw_states, params, EVAL)
-        combined = [combine(f, b) for f, b in zip(fw_lps, bw_lps)]
+        bw_states, bw_lps, bw_preds = decode_backward(outs, len(sent), params, EVAL)
+        _, fw_lps, _ = decode_forward(outs, len(sent), bw_states, params, EVAL)
+        combined, _ = combine(fw_lps, bw_lps)
 
         preds = predict_batch(params, [sent])
         fw_o, bw_o, comb_o, pred_o = oracle.full_forward(values, sent, blocks=blocks)
         for i in range(len(sent)):
-            np.testing.assert_allclose(bw_lps[i].values[0], bw_o[i], atol=1e-10)
-            np.testing.assert_allclose(fw_lps[i].values[0], fw_o[i], atol=1e-10)
-            np.testing.assert_allclose(combined[i][0].values[0], comb_o[i], atol=1e-10)
+            np.testing.assert_allclose(bw_lps.values[i], bw_o[i], atol=1e-10)
+            np.testing.assert_allclose(fw_lps.values[i], fw_o[i], atol=1e-10)
+            np.testing.assert_allclose(combined.values[i], comb_o[i], atol=1e-10)
             assert preds[0, i] == pred_o[i]
 
     def test_full_pipeline_matches_oracle_with_blocks(self):
@@ -378,14 +444,15 @@ class TestAgainstOracle:
         sent = enc[0]
         gold = np.stack([sent.label_ids])
         outs = encode([sent], params, EVAL)
-        bw_states, bw_lps, _ = decode_backward(outs, params, EVAL, teacher_labels=gold)
-        _, fw_lps, _ = decode_forward(outs, bw_states, params, EVAL, teacher_labels=gold)
+        bw_states, bw_lps, _ = decode_backward(outs, len(sent), params, EVAL, teacher_labels=gold)
+        _, fw_lps, _ = decode_forward(outs, len(sent), bw_states, params, EVAL,
+                                      teacher_labels=gold)
         fw_o, bw_o, _, _ = oracle.full_forward(
             values, sent, gold=[int(g) for g in sent.label_ids]
         )
         for i in range(len(sent)):
-            np.testing.assert_allclose(bw_lps[i].values[0], bw_o[i], atol=1e-10)
-            np.testing.assert_allclose(fw_lps[i].values[0], fw_o[i], atol=1e-10)
+            np.testing.assert_allclose(bw_lps.values[i], bw_o[i], atol=1e-10)
+            np.testing.assert_allclose(fw_lps.values[i], fw_o[i], atol=1e-10)
 
 
 class TestResidualBlock:
@@ -407,12 +474,12 @@ class TestResidualBlock:
         hidden = oracle._bigru(values, "enc.gru", x_hat)
         for i in range(len(sent)):
             y = oracle._layer_norm(values, "enc.norm2", hidden[i] + x_hat[i])
-            np.testing.assert_allclose(outs[i].values[0], y, atol=1e-12)
+            np.testing.assert_allclose(outs.values[i], y, atol=1e-12)
 
     def test_block_width_preserved(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:2], params, EVAL)
-        assert all(o.values.shape == (2, params.dims.width) for o in outs)
+        assert outs.values.shape == (2 * len(enc[0]), params.dims.width)
 
 
 class TestModelParameters:

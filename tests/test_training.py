@@ -126,6 +126,29 @@ class TestLoss:
             training.step_gradients([], params, TRAIN_MODE, 0.0)
 
 
+class TestStackedObjective:
+    def test_dropout_masks_follow_the_decoding_order(self):
+        # a per-position forward draws the encoder's masks for positions
+        # 0..N-1, then dec_bw's for N-1..0, then dec_fw's for 0..N-1; these
+        # are its values.  dec_bw's masks in forward order give 17.386237...
+        params, batch = training._micro_fixture(1)
+        full, bw = training.objective(
+            batch, params, m.Mode(training=True, dropout_p=0.5, rng=SplitMix64(7)))
+        assert float(full.values) == pytest.approx(17.3074760374777, rel=1e-12, abs=0)
+        assert float(bw.values) == pytest.approx(19.127928884645478, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("blocks, per_position_entries", [(True, 1175), (False, 1010)])
+    def test_tape_is_a_fifth_of_the_per_position_forward(self, blocks, per_position_entries):
+        # per_position_entries: the tape of a forward that ran every layer
+        # once per position and every GRU step as ~20 operations
+        params, batch = training._micro_fixture(1)
+        params = ModelParameters(replace(params.dims, blocks=blocks), SplitMix64(1))
+        with Tape() as tape:
+            training.objective(batch, params,
+                               m.Mode(training=True, dropout_p=0.5, rng=SplitMix64(7)))
+        assert 5 * len(tape) <= per_position_entries
+
+
 class TestAdam:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):
         params, enc, _ = zero_param_fixture()
@@ -391,7 +414,7 @@ class TestBackwardDecoderValue:
         correct = total = 0
         for sent in enc_test:
             outs = m.encode([sent], result.params, m.EVAL)
-            _, _, preds = m.decode_backward(outs, result.params, m.EVAL)
+            _, _, preds = m.decode_backward(outs, len(sent), result.params, m.EVAL)
             correct += int(np.sum(preds[0] == sent.label_ids))
             total += len(sent)
         backward_acc = correct / total

@@ -188,44 +188,29 @@ def matmul(a: Tensor, b: Tensor, n: int = 1) -> Tensor:
     return _emit(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis; all other dimensions must agree."""
+def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate along `axis`; all other dimensions must agree."""
     if not parts:
         raise ContractError("concat needs at least one part")
     if len(parts) == 1:
         return parts[0]
-    lead = parts[0].values.shape[:-1]
-    for p in parts[1:]:
-        if p.values.shape[:-1] != lead:
+    shapes = [p.values.shape for p in parts]
+    ndim = len(shapes[0])
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"concat: axis {axis} out of range for shape {shapes[0]}")
+    axis %= ndim
+
+    def others(shape):
+        return shape[:axis] + shape[axis + 1:]
+
+    for shape in shapes[1:]:
+        if len(shape) != ndim or others(shape) != others(shapes[0]):
             raise DimensionError(
-                f"concat: leading dimensions disagree, {parts[0].values.shape} vs {p.values.shape}"
+                f"concat: dimensions other than axis {axis} disagree, {shapes[0]} vs {shape}"
             )
-    widths = [p.values.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def back(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(widths)))
-
-    return _emit(np.concatenate([p.values for p in parts], axis=-1), tuple(parts), back)
-
-
-def stack_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors vertically (equal column counts)."""
-    if not parts:
-        raise ContractError("stack_rows needs at least one part")
-    if len(parts) == 1:
-        return parts[0]
-    cols = parts[0].values.shape[-1]
-    for p in parts:
-        if p.values.ndim != 2 or p.values.shape[-1] != cols:
-            raise DimensionError(f"stack_rows: expected 2-D with {cols} columns, got {p.values.shape}")
-    counts = [p.values.shape[0] for p in parts]
-    offsets = np.cumsum([0] + counts)
-
-    def back(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(counts)))
-
-    return _emit(np.concatenate([p.values for p in parts], axis=0), tuple(parts), back)
+    cuts = np.cumsum([shape[axis] for shape in shapes[:-1]])
+    return _emit(np.concatenate([p.values for p in parts], axis=axis), tuple(parts),
+                 lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
@@ -345,7 +330,7 @@ def block_sum(x: Tensor, n: int) -> Tensor:
 
 def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
              u: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
-             n: int, reverse: bool = False) -> Tensor:
+             n: int, reverse: bool = False, running=None) -> Tensor:
     """A whole GRU recurrence as one tape entry.
 
     `x` (n*B, D) stacks n positions of B rows, row i*B + b being position
@@ -356,50 +341,64 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
         z = sigmoid((x W_z + h U_z) + b_z), r likewise,
         c = tanh((x W_h + (r*h) U_h) + b_h),  h' = (1 - z) h + z c
 
-    over positions 0..n-1, or n-1..0 when `reverse`.  The x W products of
-    every position are taken before the loop, block by block (the GEMM
-    shapes of a per-position step, see `matmul`).  Returns the (n*B, H)
-    states in position order.  The backward pass is backpropagation
-    through time; the weight gradients come from whole-stack GEMMs."""
+    over positions 0..n-1, or n-1..0 when `reverse`.  Only the first
+    `running[i]` rows (all B by default) step at position i; the others
+    keep their state and emit exact zeros, which pass no gradient.  With
+    rows sorted longest first and running[i] the count of rows longer than
+    i, every row runs over its own length in either direction: a reversed
+    scan reaches a row at its last position with its `h0` still in place.
+    The x W products of every position are taken before the loop, block
+    by block (the GEMM shapes of a per-position step, see `matmul`).
+    Returns the (n*B, H) states in position order.  The backward pass is
+    backpropagation through time; the weight gradients come from
+    whole-stack GEMMs."""
     xv = x.values
     rows = xv.shape[0]
     hid = h0.values.shape[-1]
-    if (xv.ndim != 2 or n < 1 or rows % n or h0.values.shape != (rows // n, hid)
+    bsz = rows // n if n >= 1 else 0
+    counts = [bsz] * n if running is None else [int(k) for k in running]
+    if (xv.ndim != 2 or n < 1 or rows % n or h0.values.shape != (bsz, hid)
+            or len(counts) != n or min(counts) < 0 or max(counts) > bsz
             or any(t.values.shape != (xv.shape[1], hid) for t in w)
             or any(t.values.shape != (hid, hid) for t in u)
             or any(t.values.shape != (hid,) for t in b)):
         raise DimensionError(
             f"gru_scan: x {xv.shape} over {n} positions, h0 {h0.values.shape}, "
-            f"w {[t.values.shape for t in w]}, u {[t.values.shape for t in u]}, "
-            f"b {[t.values.shape for t in b]}"
+            f"running {counts}, w {[t.values.shape for t in w]}, "
+            f"u {[t.values.shape for t in u]}, b {[t.values.shape for t in b]}"
         )
-    bsz = rows // n
     (u_z, u_r, u_h), (b_z, b_r, b_h) = (t.values for t in u), (t.values for t in b)
     xw_z, xw_r, xw_h = (np.matmul(xv.reshape(n, bsz, -1), t.values) for t in w)
-    prev, states, zs, rs, cands = (np.empty((n, bsz, hid)) for _ in range(5))
+    # rows a step skips must read as zeros: they are outputs, and they
+    # reach the whole-stack weight GEMMs of the backward pass
+    alloc = np.empty if running is None else np.zeros
+    prev, states, zs, rs, cands = (alloc((n, bsz, hid)) for _ in range(5))
     order = range(n - 1, -1, -1) if reverse else range(n)
-    h = h0.values
+    h = h0.values.copy()
     for i in order:
+        k = counts[i]
         prev[i] = h
-        z = zs[i] = _sigmoid((xw_z[i] + h @ u_z) + b_z)
-        r = rs[i] = _sigmoid((xw_r[i] + h @ u_r) + b_r)
-        c = cands[i] = np.tanh((xw_h[i] + (r * h) @ u_h) + b_h)
-        h = states[i] = (1.0 - z) * h + z * c
+        hk = h[:k]
+        z = zs[i, :k] = _sigmoid((xw_z[i, :k] + hk @ u_z) + b_z)
+        r = rs[i, :k] = _sigmoid((xw_r[i, :k] + hk @ u_r) + b_r)
+        c = cands[i, :k] = np.tanh((xw_h[i, :k] + (r * hk) @ u_h) + b_h)
+        h[:k] = states[i, :k] = (1.0 - z) * hk + z * c
 
     def back(g):
         g = g.reshape(n, bsz, hid)
-        da = np.empty((n, bsz, 3 * hid))
+        da = alloc((n, bsz, 3 * hid))
         u_zr = np.concatenate([u_z, u_r], axis=1)
         dh = np.zeros((bsz, hid))
         for i in reversed(order):
-            dh = dh + g[i]
-            z, r, c, hp = zs[i], rs[i], cands[i], prev[i]
-            dc = dh * z * (1.0 - c * c) * _tanh_backward_scale
+            k = counts[i]
+            dhk = dh[:k] + g[i, :k]
+            z, r, c, hp = zs[i, :k], rs[i, :k], cands[i, :k], prev[i, :k]
+            dc = dhk * z * (1.0 - c * c) * _tanh_backward_scale
             drh = dc @ u_h.T
-            da[i, :, :hid] = dh * (c - hp) * z * (1.0 - z)
-            da[i, :, hid:2 * hid] = drh * hp * r * (1.0 - r)
-            da[i, :, 2 * hid:] = dc
-            dh = dh * (1.0 - z) + drh * r + da[i, :, :2 * hid] @ u_zr.T
+            da[i, :k, :hid] = dhk * (c - hp) * z * (1.0 - z)
+            da[i, :k, hid:2 * hid] = drh * hp * r * (1.0 - r)
+            da[i, :k, 2 * hid:] = dc
+            dh[:k] = dhk * (1.0 - z) + drh * r + da[i, :k, :2 * hid] @ u_zr.T
         da = da.reshape(rows, 3 * hid)
         dx = da @ np.concatenate([t.values for t in w], axis=1).T
         dw = xv.T @ da

@@ -177,11 +177,12 @@ class GruCell:
         self.u_h = store.matrix(f"{prefix}.u_h", (hidden_dim, hidden_dim))
         self.b_h = store.zeros(f"{prefix}.b_h", (hidden_dim,))
 
-    def scan(self, x: Tensor, h0: Tensor, n: int, reverse: bool = False) -> Tensor:
+    def scan(self, x: Tensor, h0: Tensor, n: int, reverse: bool = False,
+             running=None) -> Tensor:
         """The hidden state at every row of the stacked `x` (n positions),
-        starting from `h0` (B, hidden)."""
+        starting from `h0` (B, hidden); `running` as in `ad.gru_scan`."""
         return ad.gru_scan(x, h0, (self.w_z, self.w_r, self.w_h), (self.u_z, self.u_r, self.u_h),
-                           (self.b_z, self.b_r, self.b_h), n, reverse)
+                           (self.b_z, self.b_r, self.b_h), n, reverse, running)
 
     def step(self, x: Tensor, h: Tensor) -> Tensor:
         return self.scan(x, h, 1)
@@ -196,10 +197,12 @@ class BiGru:
         self.h0_fw = store.zeros(f"{prefix}.h0_fw", (hidden_dim,))
         self.h0_bw = store.zeros(f"{prefix}.h0_bw", (hidden_dim,))
 
-    def run(self, x: Tensor, n: int) -> Tensor:
+    def run(self, x: Tensor, n: int, running=None) -> Tensor:
         bsz = x.values.shape[0] // n
-        return ad.concat([self.fw.scan(x, ad.tile_rows(self.h0_fw, bsz), n),
-                          self.bw.scan(x, ad.tile_rows(self.h0_bw, bsz), n, reverse=True)])
+        return ad.concat([
+            self.fw.scan(x, ad.tile_rows(self.h0_fw, bsz), n, running=running),
+            self.bw.scan(x, ad.tile_rows(self.h0_bw, bsz), n, reverse=True, running=running),
+        ])
 
 
 class ResidualBlock:
@@ -304,43 +307,29 @@ class ModelParameters:
 # forward passes
 
 
-def char_represent(char_ids, params: ModelParameters) -> Tensor:
-    """Character-level representation of one word: run the character
-    recurrence over its embeddings, sum the per-character states, and map
-    through the character feed-forward layer.  Shape (1, char_rep)."""
-    if len(char_ids) == 0:
-        raise ContractError("cannot represent a word with no characters")
-    return _char_group_rep(params, [tuple(char_ids)])
-
-
-def _char_group_rep(params: ModelParameters, rows: list[tuple[int, ...]]) -> Tensor:
-    """Representation for a group of words with equal character count."""
-    length = len(rows[0])
-    x = ad.take_rows(params.char_table, _position_major(rows))
-    total = ad.block_sum(params.char_bigru.run(x, length), length)
-    return ad.tanh(ad.add(ad.matmul(total, params.char_ffnn_w), params.char_ffnn_b))
-
-
 def _char_position_reps(batch: list[EncodedSentence], params: ModelParameters) -> Tensor:
-    """Stacked character representations of the whole batch, words
-    grouped by character count so each group runs as one recurrence."""
-    bsz = len(batch)
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for b, sent in enumerate(batch):
-        for i, chars in enumerate(sent.char_ids):
-            if len(chars) == 0:
+    """Stacked character representations of the whole batch: each word's
+    character recurrence states, summed over the word and mapped through
+    the character feed-forward layer.  The words are sorted longest first
+    into one padded (longest, N*B) character stack, so one packed scan per
+    direction runs every word over its own length."""
+    words = []
+    for i in range(len(batch[0])):
+        for b, sent in enumerate(batch):
+            if len(sent.char_ids[i]) == 0:
                 raise ContractError(f"empty token at sentence {b} position {i}")
-            groups.setdefault(len(chars), []).append((i * bsz + b, chars))
-    reps = []
-    row_of = np.empty(bsz * len(batch[0]), dtype=np.int64)
-    offset = 0
-    for length in sorted(groups):
-        members = groups[length]
-        reps.append(_char_group_rep(params, [chars for _, chars in members]))
-        for k, (row, _) in enumerate(members):
-            row_of[row] = offset + k
-        offset += len(members)
-    return ad.take_rows(ad.stack_rows(reps), row_of)
+            words.append(sent.char_ids[i])
+    lengths = np.array([len(chars) for chars in words])
+    order = np.argsort(-lengths, kind="stable")
+    longest = int(lengths[order[0]])
+    ids = np.zeros((longest, len(words)), dtype=np.int64)
+    for j, w in enumerate(order):
+        ids[:lengths[w], j] = words[w]
+    running = (lengths[:, None] > np.arange(longest)).sum(axis=0)
+    x = ad.take_rows(params.char_table, ids.reshape(-1))
+    total = ad.block_sum(params.char_bigru.run(x, longest, running), longest)
+    reps = ad.tanh(ad.add(ad.matmul(total, params.char_ffnn_w), params.char_ffnn_b))
+    return ad.take_rows(reps, np.argsort(order))
 
 
 def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) -> Tensor:
@@ -412,7 +401,7 @@ def _decode(enc: Tensor, n: int, params: ModelParameters, mode: Mode,
             state_rows[i] = block.leave(h, x_hat, mode)
             lp_rows[i] = output(at, state_rows[i], 1)
             context = _label_argmax(lp_rows[i].values)
-        states, log_probs = ad.stack_rows(state_rows), ad.stack_rows(lp_rows)
+        states, log_probs = ad.concat(state_rows, axis=0), ad.concat(lp_rows, axis=0)
     return states, log_probs, _label_argmax(log_probs.values).reshape(n, bsz).T
 
 

@@ -80,8 +80,12 @@ class TrainingConfig:
                      "feat_dim", "epochs", "runs", "min_count", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "l2", "clip_norm"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lr", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.l2 < 0:
             raise ConfigError(f"l2 must be non-negative, got {self.l2}")
         if not 0.0 <= self.dropout < 1.0:

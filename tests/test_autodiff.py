@@ -110,9 +110,27 @@ class TestConcat:
         np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
         np.testing.assert_array_equal(b.grad, np.ones((2, 1)))
 
+    def test_rows_gradient_splits_back(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((1, 3)), requires_grad=True)
+        with Tape():
+            out = ad.concat([a, b], axis=0)
+            backward(ad.tensor_sum(ad.mul(out, Tensor(np.arange(9.0).reshape(3, 3)))))
+        np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(b.grad, [[6.0, 7.0, 8.0]])
+
     def test_leading_dim_mismatch(self):
         with pytest.raises(DimensionError):
             ad.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
+
+    @pytest.mark.parametrize("axis, shapes", [
+        (0, [(2, 2), (2, 3)]),
+        (0, [(2, 2), (2,)]),
+        (2, [(2, 2), (2, 2)]),
+    ])
+    def test_other_dimensions_must_agree(self, axis, shapes):
+        with pytest.raises(DimensionError):
+            ad.concat([Tensor(np.zeros(shape)) for shape in shapes], axis=axis)
 
 
 class TestElementwise:
@@ -390,15 +408,6 @@ class TestGatherOps:
         with Tape():
             backward(ad.tensor_sum(ad.tile_rows(v, 4)))
         np.testing.assert_array_equal(v.grad, [4.0, 4.0])
-
-    def test_stack_rows_roundtrip_gradient(self):
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.ones((1, 3)), requires_grad=True)
-        with Tape():
-            out = ad.stack_rows([a, b])
-            backward(ad.tensor_sum(ad.mul(out, Tensor(np.arange(9.0).reshape(3, 3)))))
-        np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(b.grad, [[6.0, 7.0, 8.0]])
 
 
 class TestBackward:

@@ -100,6 +100,22 @@ class TestTrain:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["--clip-norm=-1", "--lr=nan"])
+    def test_bad_optimizer_setting_exits_two_writing_nothing(self, corpus_dir, tmp_path, capsys,
+                                                             setting):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "train",
+            "--train", str(corpus_dir / "train.conll"),
+            "--dev", str(corpus_dir / "dev.conll"),
+            "--model-out", str(out / "model.bin"),
+            *TRAIN_FLAGS, setting,
+        ])
+        assert code == 2
+        assert setting[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_model_file_exists_and_reloads(self, trained):
         _, model = trained
         assert model.is_file()

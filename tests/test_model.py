@@ -10,18 +10,18 @@ from seqtag import model as m
 from seqtag.autodiff import Tape, Tensor, backward
 from seqtag.data import (
     BOUNDARY,
+    EncodedSentence,
     TaggedSentence,
     build_vocabularies,
     encode_corpus,
 )
-from seqtag.errors import ContractError
+from seqtag.errors import ContractError, DimensionError
 from seqtag.model import (
     EVAL,
     BiGru,
     GruCell,
     ModelDims,
     ModelParameters,
-    char_represent,
     combine,
     decode_backward,
     decode_forward,
@@ -113,23 +113,67 @@ class TestGruCell:
             np.testing.assert_array_equal(states[i * rows:(i + 1) * rows], h_step.values)
             np.testing.assert_array_equal(h_step.values, h_ref.values)
 
-    def _scan_loss(self, seed, reverse):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_scan_runs_each_row_over_its_own_length(self, reverse):
+        cell, rng = self._cell_with_biases(27)
+        lengths = (4, 3, 3, 1)
+        n, rows = max(lengths), len(lengths)
+        running = [sum(length > i for length in lengths) for i in range(n)]
+        x = rng.uniform_array((n, rows, 4), -2.0, 2.0)
+        h0 = rng.uniform_array((rows, 5), -1.0, 1.0)
+        states = cell.scan(Tensor(x.reshape(n * rows, 4)), Tensor(h0), n, reverse,
+                           running).values.reshape(n, rows, 5)
+        # the rows a step skips are never read: NaN there changes no bit
+        padded = x.copy()
+        for b, length in enumerate(lengths):
+            padded[length:, b] = np.nan
+        np.testing.assert_array_equal(
+            cell.scan(Tensor(padded.reshape(n * rows, 4)), Tensor(h0), n, reverse,
+                      running).values.reshape(n, rows, 5), states)
+        for b, length in enumerate(lengths):
+            np.testing.assert_array_equal(states[length:, b], 0.0)
+            # a lone row's products go through gemv, which rounds apart from
+            # the GEMM of a stack, so the comparison allows a few ulps
+            alone = cell.scan(Tensor(x[:length, b]), Tensor(h0[b:b + 1]), length, reverse)
+            np.testing.assert_allclose(states[:length, b], alone.values, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("running", [[2, 2], [2, 2, 2, -1], [3, 2, 1, 0]])
+    def test_malformed_running_counts_rejected(self, running):
+        cell = self._cell()
+        with pytest.raises(DimensionError):
+            cell.scan(Tensor(np.zeros((4 * 2, 4))), Tensor(np.zeros((2, 5))), 4, False, running)
+
+    def _scan_loss(self, seed, reverse, lengths=None):
         cell, rng = self._cell_with_biases(seed)
-        n, rows = 3, 2
+        n, rows = (3, 2) if lengths is None else (max(lengths), len(lengths))
+        running = None if lengths is None else [sum(k > i for k in lengths) for i in range(n)]
         x = Tensor(rng.uniform_array((n * rows, 4), -1.0, 1.0), requires_grad=True, name="x")
         h0 = Tensor(rng.uniform_array((rows, 5), -1.0, 1.0), requires_grad=True, name="h0")
         upstream = Tensor(rng.uniform_array((n * rows, 5), -1.0, 1.0))
 
         def build():
-            return ad.tensor_sum(ad.mul(cell.scan(x, h0, n, reverse), upstream))
+            return ad.tensor_sum(ad.mul(cell.scan(x, h0, n, reverse, running), upstream))
 
         weights = [cell.w_z, cell.w_r, cell.w_h, cell.u_z, cell.u_r, cell.u_h,
                    cell.b_z, cell.b_r, cell.b_h]
         return build, [x, h0] + weights, cell
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_scan_gradient_matches_finite_differences(self, reverse):
-        build, tensors, _ = self._scan_loss(23, reverse)
+    @pytest.mark.parametrize("reverse, lengths", [
+        (False, None), (True, None), (False, (4, 3, 3, 1)), (True, (4, 3, 3, 1)),
+    ], ids=["False", "True", "packed-False", "packed-True"])
+    def test_scan_gradient_matches_finite_differences(self, reverse, lengths, monkeypatch):
+        # NaN where an array is left uninitialised: rows a packed step
+        # skips must not carry garbage into the whole-stack weight GEMMs
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        build, tensors, _ = self._scan_loss(23, reverse, lengths)
         with Tape():
             backward(build())
         for t in tensors:
@@ -170,18 +214,25 @@ class TestBiGru:
 
 
 class TestCharRepresent:
+    @staticmethod
+    def _batch(sentences):
+        """Unlabelled sentences given as lists of character-id words."""
+        return [
+            EncodedSentence(tokens=tuple("w" * len(words)), word_ids=np.zeros(len(words), np.int64),
+                            char_ids=tuple(tuple(w) for w in words), feat_ids=(), label_ids=None)
+            for words in sentences
+        ]
+
     def test_order_sensitivity(self):
-        params, enc, vocabs = tiny_setup()
+        params, _, vocabs = tiny_setup()
         ab = [vocabs.char.lookup("t"), vocabs.char.lookup("e")]
-        ba = list(reversed(ab))
-        rep_ab = char_represent(ab, params).values
-        rep_ba = char_represent(ba, params).values
-        assert np.max(np.abs(rep_ab - rep_ba)) > 1e-8
+        reps = m._char_position_reps(self._batch([[ab], [ab[::-1]]]), params).values
+        assert np.max(np.abs(reps[0] - reps[1])) > 1e-8
 
     def test_single_character_sum_is_identity_over_one_state(self):
         params, _, vocabs = tiny_setup()
         cid = vocabs.char.lookup("t")
-        rep = char_represent([cid], params)
+        rep = m._char_position_reps(self._batch([[[cid]]]), params)
         states = params.char_bigru.run(ad.take_rows(params.char_table, [cid]), 1)
         expected = ad.tanh(
             ad.add(ad.matmul(states, params.char_ffnn_w), params.char_ffnn_b)
@@ -189,23 +240,40 @@ class TestCharRepresent:
         np.testing.assert_array_equal(rep.values, expected.values)
 
     def test_empty_word_rejected(self):
-        params, _, _ = tiny_setup()
-        with pytest.raises(ContractError):
-            char_represent([], params)
+        params, _, vocabs = tiny_setup()
+        t = vocabs.char.lookup("t")
+        with pytest.raises(ContractError, match="sentence 1 position 2"):
+            m._char_position_reps(self._batch([[[t], [t], [t]], [[t], [t], []]]), params)
 
     def test_unused_char_rows_get_zero_gradient(self):
+        # words of different lengths, so the packed stack reads PAD row 0
         params, _, vocabs = tiny_setup()
-        used = [vocabs.char.lookup("t"), vocabs.char.lookup("e")]
+        t, e, a = (vocabs.char.lookup(c) for c in "tea")
+        batch = self._batch([[[t, e], [a]], [[e], [t, e, a]]])
         params.zero_grads()
         with Tape():
-            backward(ad.tensor_sum(char_represent(used, params)))
+            backward(ad.tensor_sum(m._char_position_reps(batch, params)))
         grad = params.char_table.grad
-        used_rows = set(used)
+        used_rows = {t, e, a}
+        assert 0 not in used_rows
         for row in range(grad.shape[0]):
             if row in used_rows:
                 assert np.any(grad[row] != 0.0)
             else:
                 np.testing.assert_array_equal(grad[row], 0.0)
+
+    def test_mixed_lengths_match_oracle_in_position_major_order(self):
+        params, _, vocabs = tiny_setup(seed=17)
+        values = {name: t.values for name, t in params.named_tensors()}
+        ids = [vocabs.char.lookup(c) for c in "riverbank"]
+        sentences = [[ids[:3], ids[:1], ids[2:7], ids[4:6]],
+                     [ids[5:9], ids[:5], ids[8:9], ids[1:4]],
+                     [ids[3:5], ids[6:9], ids[:4], ids[7:8]]]
+        reps = m._char_position_reps(self._batch(sentences), params).values
+        for i in range(4):
+            for b, words in enumerate(sentences):
+                np.testing.assert_allclose(reps[i * len(sentences) + b],
+                                           oracle.char_rep(values, words[i]), atol=1e-12)
 
 
 class TestEncode:

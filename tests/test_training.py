@@ -148,6 +148,36 @@ class TestStackedObjective:
                                m.Mode(training=True, dropout_p=0.5, rng=SplitMix64(7)))
         assert 5 * len(tape) <= per_position_entries
 
+    def test_tape_does_not_grow_with_distinct_word_lengths(self):
+        # two sentences of three tokens; words of one char length, then of four
+        sentences = [
+            TaggedSentence(tokens=["ab", "cd", "ef"], labels=["O", "B-p", "O"]),
+            TaggedSentence(tokens=["ba", "dc", "fe"], labels=["B-q", "O", "O"]),
+            TaggedSentence(tokens=["a", "bcd", "ef"], labels=["O", "B-p", "O"]),
+            TaggedSentence(tokens=["abcd", "b", "cd"], labels=["B-q", "O", "O"]),
+        ]
+        vocabs = build_vocabularies(sentences)
+        params = ModelParameters(training._model_dims(overfit_config(), vocabs), SplitMix64(2))
+        encoded = encode_corpus(sentences, vocabs)
+        lengths = []
+        for batch in (encoded[:2], encoded[2:]):
+            with Tape() as tape:
+                training.objective(batch, params,
+                                   m.Mode(training=True, dropout_p=0.5, rng=SplitMix64(7)))
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+        ("l2", -1e-6), ("l2", math.nan), ("l2", math.inf),
+        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", math.nan), ("clip_norm", math.inf),
+    ])
+    def test_bad_optimizer_setting_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            overfit_config(**{name: value}).validate()
+
 
 class TestAdam:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):

@@ -171,21 +171,14 @@ def relu(a: Tensor) -> Tensor:
     return _emit(a.values * mask, (a,), lambda g: (g * mask,))
 
 
-def matmul(a: Tensor, b: Tensor, n: int = 1) -> Tensor:
-    """a @ b.  With n > 1, a stacks n equal row blocks (positions) and the
-    forward multiplies each block on its own: BLAS rounds a GEMM
-    differently depending on its shape, so only the per-position shape
-    gives the bits of a per-position loop.  The backward multiplies whole
-    stacks."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over 2-D operands: one GEMM, however many positions a stacks."""
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree, {av.shape} vs {bv.shape}")
-    if n < 1 or av.shape[0] % n:
-        raise DimensionError(f"matmul: {av.shape[0]} rows do not split into {n} blocks")
-    out = np.matmul(av.reshape(n, av.shape[0] // n, -1), bv).reshape(av.shape[0], bv.shape[1])
-    return _emit(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    return _emit(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -316,15 +309,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def block_sum(x: Tensor, n: int) -> Tensor:
-    """Sum of the n equal row blocks of x, added in block order:
-    x[0:B] + x[B:2B] + ... with B = rows / n."""
+    """Sum of the n equal row blocks of x, added in block order,
+    x[0:B] + x[B:2B] + ... with B = rows / n, whenever a block holds more
+    than one entry (numpy sums a lone column pairwise)."""
     xv = x.values
     if n < 1 or xv.shape[0] % n:
         raise DimensionError(f"block_sum: {xv.shape[0]} rows do not split into {n} blocks")
-    blocks = xv.reshape(n, xv.shape[0] // n, *xv.shape[1:])
-    out = blocks[0].copy()
-    for block in blocks[1:]:
-        out += block
+    out = xv.reshape(n, xv.shape[0] // n, *xv.shape[1:]).sum(axis=0)
     return _emit(out, (x,), lambda g: (np.concatenate([g] * n),))
 
 
@@ -347,11 +338,10 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     rows sorted longest first and running[i] the count of rows longer than
     i, every row runs over its own length in either direction: a reversed
     scan reaches a row at its last position with its `h0` still in place.
-    The x W products of every position are taken before the loop, block
-    by block (the GEMM shapes of a per-position step, see `matmul`).
-    Returns the (n*B, H) states in position order.  The backward pass is
-    backpropagation through time; the weight gradients come from
-    whole-stack GEMMs."""
+    The x W products of every position are taken before the loop, one
+    GEMM per gate over the whole stack.  Returns the (n*B, H) states in
+    position order.  The backward pass is backpropagation through time;
+    the weight gradients come from whole-stack GEMMs."""
     xv = x.values
     rows = xv.shape[0]
     hid = h0.values.shape[-1]
@@ -368,11 +358,10 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
             f"u {[t.values.shape for t in u]}, b {[t.values.shape for t in b]}"
         )
     (u_z, u_r, u_h), (b_z, b_r, b_h) = (t.values for t in u), (t.values for t in b)
-    xw_z, xw_r, xw_h = (np.matmul(xv.reshape(n, bsz, -1), t.values) for t in w)
+    xw_z, xw_r, xw_h = ((xv @ t.values).reshape(n, bsz, hid) for t in w)
     # rows a step skips must read as zeros: they are outputs, and they
     # reach the whole-stack weight GEMMs of the backward pass
-    alloc = np.empty if running is None else np.zeros
-    prev, states, zs, rs, cands = (alloc((n, bsz, hid)) for _ in range(5))
+    prev, states, zs, rs, cands = (np.zeros((n, bsz, hid)) for _ in range(5))
     order = range(n - 1, -1, -1) if reverse else range(n)
     h = h0.values.copy()
     for i in order:
@@ -386,7 +375,7 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
 
     def back(g):
         g = g.reshape(n, bsz, hid)
-        da = alloc((n, bsz, 3 * hid))
+        da = np.zeros((n, bsz, 3 * hid))
         u_zr = np.concatenate([u_z, u_r], axis=1)
         dh = np.zeros((bsz, hid))
         for i in reversed(order):
@@ -413,22 +402,17 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     return _emit(states.reshape(rows, hid), (x, h0, *w, *u, *b), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None,
-            n: int = 1, reverse: bool = False) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None) -> Tensor:
     """Inverted dropout: zero with probability p and rescale survivors by
-    1/(1-p) in training mode; identity in evaluation mode.  With `reverse`
-    the masks of x's n row blocks are drawn last block first, the order of
-    a loop from position n-1 down to 0."""
+    1/(1-p) in training mode; identity in evaluation mode.  The mask is
+    drawn in row-major order over x, whatever the rows stand for."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ContractError("training-mode dropout needs a generator")
-    keep = rng.floats(x.values.size) >= p
-    if reverse:
-        keep = keep.reshape(n, -1)[::-1]
-    factor = keep.reshape(x.values.shape) / (1.0 - p)
+    factor = (rng.floats(x.values.size) >= p).reshape(x.values.shape) / (1.0 - p)
     return _emit(x.values * factor, (x,), lambda g: (g * factor,))
 
 

@@ -148,9 +148,9 @@ class FeedForward:
         self.w2 = store.matrix(f"{prefix}.w2", (inner, width))
         self.b2 = store.zeros(f"{prefix}.b2", (width,))
 
-    def apply(self, x: Tensor, n: int = 1) -> Tensor:
-        inner = ad.relu(ad.add(ad.matmul(x, self.w1, n), self.b1))
-        return ad.add(ad.matmul(inner, self.w2, n), self.b2)
+    def apply(self, x: Tensor) -> Tensor:
+        inner = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
+        return ad.add(ad.matmul(inner, self.w2), self.b2)
 
 
 def _position_major(rows) -> np.ndarray:
@@ -183,9 +183,6 @@ class GruCell:
         starting from `h0` (B, hidden); `running` as in `ad.gru_scan`."""
         return ad.gru_scan(x, h0, (self.w_z, self.w_r, self.w_h), (self.u_z, self.u_r, self.u_h),
                            (self.b_z, self.b_r, self.b_h), n, reverse, running)
-
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        return self.scan(x, h, 1)
 
 
 class BiGru:
@@ -223,20 +220,17 @@ class ResidualBlock:
         else:
             self.rnn = rnn_type(store, f"{prefix}.gru", input_dim, rnn_hidden)
 
-    def enter(self, x: Tensor, n: int = 1) -> Tensor:
+    def enter(self, x: Tensor) -> Tensor:
         if not self._blocks:
             return x
-        return self.norm1.apply(ad.matmul(x, self.proj, n))
+        return self.norm1.apply(ad.matmul(x, self.proj))
 
-    def leave(self, h: Tensor, x_hat: Tensor, mode: Mode, n: int = 1,
-              reverse: bool = False) -> Tensor:
-        """`n` and `reverse` are the stack's positions and the recurrence's
-        direction: dropout draws its masks in the recurrence's order."""
+    def leave(self, h: Tensor, x_hat: Tensor, mode: Mode) -> Tensor:
         if not self._blocks:
             return h
-        dropped = ad.dropout(h, mode.dropout_p, mode.training, mode.rng, n, reverse)
+        dropped = ad.dropout(h, mode.dropout_p, mode.training, mode.rng)
         y = self.norm2.apply(ad.add(dropped, x_hat))
-        return ad.add(self.ffnn.apply(y, n), y)
+        return ad.add(self.ffnn.apply(y), y)
 
 
 class ModelParameters:
@@ -355,51 +349,44 @@ def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) ->
         ad.take_rows(table, _position_major([sent.feat_ids[k] for sent in batch]))
         for k, table in enumerate(params.feat_tables)
     ]
-    x_hat = params.enc.enter(ad.concat(parts), n)
-    return params.enc.leave(params.enc.rnn.run(x_hat, n), x_hat, mode, n)
+    x_hat = params.enc.enter(ad.concat(parts))
+    return params.enc.leave(params.enc.rnn.run(x_hat, n), x_hat, mode)
 
 
 def _decode(enc: Tensor, n: int, params: ModelParameters, mode: Mode,
             teacher_labels: np.ndarray | None, block: ResidualBlock, h0: Tensor,
             out_w: Tensor, out_b: Tensor, out_inputs, reverse: bool):
     """One label decoder over the stacked encoder output of n positions.
-    The context label of a position is the gold label of the one before
-    it in decoding order under teacher forcing, so every position-wise
-    layer runs once on the stack and the recurrence is one `gru_scan`.
-    Greedy decoding feeds back its own argmax, one position at a time.
-    `out_inputs(at, state)` lists what the output layer reads, `at(t)`
+    A position's context label is the label of the one before it in
+    decoding order.  Under teacher forcing that is the gold label, so the
+    layer body runs once over all n positions; greedy decoding feeds back
+    its own argmax, so the body runs n times over one position each.
+    `out_inputs(at, states)` lists what the output layer reads, `at(t)`
     giving the current rows of a stacked tensor t.  Returns (states,
     log_probs, predictions): stacked tensors and (B, N) label ids."""
     bsz = enc.values.shape[0] // n
 
-    def output(at, state, positions):
-        logits = ad.matmul(ad.concat(out_inputs(at, state)), out_w, positions)
-        return ad.log_softmax(ad.add(logits, out_b))
+    def layer(at, context, h):
+        x_hat = block.enter(ad.concat([at(enc), ad.take_rows(params.label_table, context)]))
+        h = block.rnn.scan(x_hat, h, len(context) // bsz, reverse)
+        states = block.leave(h, x_hat, mode)
+        logits = ad.matmul(ad.concat(out_inputs(at, states)), out_w)
+        return h, states, ad.log_softmax(ad.add(logits, out_b))
 
+    h = ad.tile_rows(h0, bsz)
     if teacher_labels is not None:
         context = np.full((n, bsz), BOUNDARY, dtype=np.int64)
         if reverse:
             context[:-1] = teacher_labels.T[1:]
         else:
             context[1:] = teacher_labels.T[:-1]
-        x_hat = block.enter(ad.concat([enc, ad.take_rows(params.label_table, context.reshape(-1))]), n)
-        h = block.rnn.scan(x_hat, ad.tile_rows(h0, bsz), n, reverse)
-        states = block.leave(h, x_hat, mode, n, reverse)
-        log_probs = output(lambda t: t, states, n)
+        _, states, log_probs = layer(lambda t: t, context.reshape(-1), h)
     else:
         state_rows, lp_rows = [None] * n, [None] * n
-        h = ad.tile_rows(h0, bsz)
         context = np.full(bsz, BOUNDARY, dtype=np.int64)
         for i in range(n - 1, -1, -1) if reverse else range(n):
             rows = np.arange(i * bsz, (i + 1) * bsz)
-
-            def at(t, rows=rows):
-                return ad.take_rows(t, rows)
-
-            x_hat = block.enter(ad.concat([at(enc), ad.take_rows(params.label_table, context)]))
-            h = block.rnn.step(x_hat, h)
-            state_rows[i] = block.leave(h, x_hat, mode)
-            lp_rows[i] = output(at, state_rows[i], 1)
+            h, state_rows[i], lp_rows[i] = layer(lambda t: ad.take_rows(t, rows), context, h)
             context = _label_argmax(lp_rows[i].values)
         states, log_probs = ad.concat(state_rows, axis=0), ad.concat(lp_rows, axis=0)
     return states, log_probs, _label_argmax(log_probs.values).reshape(n, bsz).T
@@ -418,7 +405,7 @@ def decode_backward(
     argmax predictions.  Returns (states, log_probs, predictions)."""
     return _decode(enc, n, params, mode, teacher_labels, params.dec_bw, params.dec_bw_h0,
                    params.out_bw_w, params.out_bw_b,
-                   lambda at, state: [at(enc), state], reverse=True)
+                   lambda at, states: [at(enc), states], reverse=True)
 
 
 def decode_forward(
@@ -437,7 +424,7 @@ def decode_forward(
         )
     return _decode(enc, n, params, mode, teacher_labels, params.dec_fw, params.dec_fw_h0,
                    params.out_fw_w, params.out_fw_b,
-                   lambda at, state: [state, at(enc), at(bw_states)], reverse=False)
+                   lambda at, states: [states, at(enc), at(bw_states)], reverse=False)
 
 
 def combine(log_probs_fw: Tensor, log_probs_bw: Tensor) -> tuple[Tensor, np.ndarray]:

@@ -211,10 +211,9 @@ def nll_sums(batch: list[EncodedSentence], params: ModelParameters, mode: m.Mode
         enc = m.encode(sub, params, mode)
         bw_states, bw_lps, _ = m.decode_backward(enc, length, params, mode, teacher_labels=gold)
         _, fw_lps, _ = m.decode_forward(enc, length, bw_states, params, mode, teacher_labels=gold)
-        # per-sentence sums added position by position, then over the batch
         gold_rows = gold.T.reshape(-1)
-        fw_parts.append(ad.tensor_sum(ad.block_sum(ad.pick(fw_lps, gold_rows), length)))
-        bw_parts.append(ad.tensor_sum(ad.block_sum(ad.pick(bw_lps, gold_rows), length)))
+        fw_parts.append(ad.tensor_sum(ad.pick(fw_lps, gold_rows)))
+        bw_parts.append(ad.tensor_sum(ad.pick(bw_lps, gold_rows)))
     return reduce(ad.add, fw_parts), reduce(ad.add, bw_parts)
 
 
@@ -459,6 +458,14 @@ def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = 
         seeds = [config.seed + k for k in range(config.runs)]
     elif len(seeds) != config.runs:
         raise ConfigError(f"{config.runs} runs but {len(seeds)} seeds")
+    # score every split a run evaluates gold against gold, so that a split
+    # the metrics reject fails here and not after a run's first epoch
+    for split in (corpus.dev, corpus.test):
+        gold = [s.labels for s in split]
+        if None in gold:
+            raise ContractError("evaluation split contains an unlabeled sentence")
+        if gold:
+            evaluate_tags(gold, gold)
     jobs = [(corpus, config, seed, output)
             for seed, output in zip(seeds, outputs or [None] * len(seeds), strict=True)]
     if config.jobs > 1:

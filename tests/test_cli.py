@@ -116,6 +116,25 @@ class TestTrain:
         assert setting[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("first_tag, dev_tags, message", [
+        ("O", ("O", "O"), "concept error rate undefined: no gold concepts"),
+        ("NN", ("NN", "B-loc"), "malformed tag 'NN'"),
+    ], ids=["dev-without-gold-chunk", "non-bio-tag"])
+    def test_dev_split_the_metrics_reject_exits_two_before_training(
+            self, tmp_path, capsys, monkeypatch, first_tag, dev_tags, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "step_gradients", no_step)
+        train_file, dev_file = tmp_path / "train.conll", tmp_path / "dev.conll"
+        train_file.write_text(f"the\t{first_tag}\nbank\tB-loc\n\nby\tO\nriver\tB-loc\n",
+                              encoding="utf-8")
+        dev_file.write_text(f"the\t{dev_tags[0]}\nriver\t{dev_tags[1]}\n", encoding="utf-8")
+        code = main(["train", "--train", str(train_file), "--dev", str(dev_file),
+                     "--model-out", str(tmp_path / "m.bin"), *TRAIN_FLAGS])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_model_file_exists_and_reloads(self, trained):
         _, model = trained
         assert model.is_file()
@@ -297,7 +316,12 @@ class TestGradcheck:
     def test_default_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert "tensor=" in out and "within" in out
+        assert "within" in out
+        rows = [re.fullmatch(r"tensor=(\S+) max_rel_err=(\S+)", line).groups()
+                for line in out.splitlines() if line.startswith("tensor=")]
+        params, _ = training._micro_fixture(1)
+        assert [name for name, _ in rows] == params.names()
+        assert all(float(err) < 1e-4 for _, err in rows)
 
     def test_corrupted_backward_detected(self, capsys):
         assert main(["gradcheck", "--corrupt"]) == 1

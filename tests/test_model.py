@@ -63,7 +63,7 @@ class TestGruCell:
 
     def test_zero_input_zero_state_zero_biases_gives_zero(self):
         cell = self._cell()
-        out = cell.step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))))
+        out = cell.scan(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))), 1)
         np.testing.assert_array_equal(out.values, np.zeros((2, 5)))
 
     def test_state_stays_in_open_unit_interval(self):
@@ -72,12 +72,12 @@ class TestGruCell:
         h = Tensor(np.zeros((1, 5)))
         for _ in range(30):
             x = Tensor(rng.uniform_array((1, 4), -5.0, 5.0))
-            h = cell.step(x, h)
+            h = cell.scan(x, h, 1)
             assert np.all(np.abs(h.values) < 1.0)
 
     def test_output_width(self):
         cell = self._cell()
-        out = cell.step(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))))
+        out = cell.scan(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))), 1)
         assert out.values.shape == (3, 5)
 
     def _cell_with_biases(self, seed):
@@ -108,7 +108,7 @@ class TestGruCell:
         h_step = h_ref = h0
         for i in range(n - 1, -1, -1) if reverse else range(n):
             x_i = Tensor(x.values[i * rows:(i + 1) * rows])
-            h_step = cell.step(x_i, h_step)
+            h_step = cell.scan(x_i, h_step, 1)
             h_ref = self._op_by_op_step(cell, x_i, h_ref)
             np.testing.assert_array_equal(states[i * rows:(i + 1) * rows], h_step.values)
             np.testing.assert_array_equal(h_step.values, h_ref.values)
@@ -402,6 +402,22 @@ class TestDecoders:
         assert np.max(np.abs(lps_gold.values[-2] - lps_flip.values[-2])) > 1e-12
         # position N-1 sees the boundary context either way
         np.testing.assert_array_equal(lps_gold.values[-1], lps_flip.values[-1])
+
+    @pytest.mark.parametrize("blocks", [True, False])
+    def test_teacher_forcing_on_own_predictions_reproduces_greedy(self, blocks):
+        # both modes run one layer body: fed its greedy argmax as gold, a
+        # decoder sees the same context labels and gives the same log-probs
+        params, enc, _ = tiny_setup(seed=19, blocks=blocks)
+        batch = enc[:3]
+        outs = encode(batch, params, EVAL)
+        n = len(batch[0])
+        bw_states, bw_lps, bw_preds = decode_backward(outs, n, params, EVAL)
+        _, forced_bw, _ = decode_backward(outs, n, params, EVAL, teacher_labels=bw_preds)
+        _, fw_lps, fw_preds = decode_forward(outs, n, bw_states, params, EVAL)
+        _, forced_fw, _ = decode_forward(outs, n, bw_states, params, EVAL,
+                                         teacher_labels=fw_preds)
+        np.testing.assert_allclose(forced_bw.values, bw_lps.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(forced_fw.values, fw_lps.values, rtol=0, atol=1e-12)
 
     def test_bad_label_id_rejected(self):
         params, enc, _ = tiny_setup()

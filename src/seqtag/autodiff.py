@@ -3,7 +3,8 @@
 Tensors are thin wrappers around float64 arrays.  While a `Tape` is
 active, every operation whose inputs require gradients appends one entry
 (output, inputs, backward rule) in execution order, so the tape is
-already topologically sorted; `backward` walks it once in reverse.
+already topologically sorted; `backward` walks it once in reverse,
+skipping what leads to no leaf that wants a gradient.
 Without an active tape the same functions compute values only, which is
 how inference runs.
 
@@ -99,19 +100,37 @@ def _emit(values, inputs, backward_fn) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every leaf reachable from
-    `loss`.  Repeated calls accumulate additively."""
+    `loss` that has `requires_grad` now.  Repeated calls accumulate
+    additively.
+
+    A leaf whose `requires_grad` was cleared after the forward pass is
+    frozen: a forward sweep of the tape marks the entries whose output
+    depends on a leaf that still wants its gradient, and the reverse walk
+    runs the backward rules of those entries only.  Every consumer of a
+    marked tensor is marked, so each wanted gradient receives the same
+    contributions in the same order as in an unpruned walk."""
     if loss.values.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     tape = loss.tape
     if tape is None:
         raise ContractError("loss was not produced by an operation recorded on a tape")
-    pending: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
+    live = set()
+
+    def wanted(t: Tensor) -> bool:
+        return t.requires_grad if t.tape is None else t.node_id in live
+
+    for out, inputs, _ in tape._entries:
+        if any(map(wanted, inputs)):
+            live.add(out.node_id)
+    # only marked tensors ever receive a gradient, so only marked entries run
+    pending: dict[int, np.ndarray] = (
+        {loss.node_id: np.ones_like(loss.values)} if loss.node_id in live else {})
     for out, inputs, back_fn in reversed(tape._entries):
         g = pending.pop(out.node_id, None)
         if g is None:
             continue
         for tensor, gi in zip(inputs, back_fn(g)):
-            if gi is None or not tensor.requires_grad:
+            if gi is None or not wanted(tensor):
                 continue
             if tensor.tape is None:
                 tensor.grad += gi

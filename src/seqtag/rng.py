@@ -49,6 +49,14 @@ class SplitMix64:
     def floats(self, n: int) -> np.ndarray:
         """Vectorised batch of `n` floats, identical to n next_float calls."""
         out = np.empty(n, dtype=np.float64)
+        for _ in self._fill(out):
+            pass
+        return out
+
+    def _fill(self, out: np.ndarray):
+        """Fill the 1-D `out` with the next out.size floats, one block at
+        a time, yielding each block as soon as it is filled."""
+        n = out.size
         z = np.empty(min(n, _BLOCK), dtype=np.uint64)
         shifted = np.empty_like(z)
         for start in range(0, n, _BLOCK):
@@ -63,17 +71,20 @@ class SplitMix64:
             np.right_shift(zb, np.uint64(31), out=sb)
             zb ^= sb
             zb >>= np.uint64(11)
-            np.multiply(zb, 2.0**-53, out=out[start:start + size])
-        return out
+            block = out[start:start + size]
+            np.multiply(zb, 2.0**-53, out=block)
+            yield block
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
+        """`floats` scaled to [lo, hi), each block scaled while in cache."""
         n = int(np.prod(shape)) if shape else 1
-        values = self.floats(n)
-        values *= hi - lo
-        values += lo
+        values = np.empty(n, dtype=np.float64)
+        for block in self._fill(values):
+            block *= hi - lo
+            block += lo
         return values.reshape(shape)
 
     def randint(self, n: int) -> int:

@@ -14,13 +14,17 @@ In the dual regime the parameters split into the backward-decoder group
 own optimizer on the backward-only term -sum logP_bw(e_i) without L2,
 while a second optimizer steps all remaining parameters on the full
 objective.  Every mini-batch runs one shared forward pass and takes both
-gradients at the same parameters, before either optimizer steps.
+gradients at the same parameters, before either optimizer steps: a
+backward pass of the backward-only term with group A frozen, then one of
+the full objective with group B frozen.  Each pass writes only its own
+group's `.grad` and runs only the backward rules that lead to it.
 `step_gradients` is that computation; the trainer and the gradient check
 both use it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -105,6 +109,24 @@ class Corpus:
     test: list[TaggedSentence] = field(default_factory=list)
 
 
+# Whole-parameter passes (the L2 gradient and the Adam update) run over
+# row blocks of at most this many entries, so that the operands of one
+# chain of elementwise operations stay in cache from one operation to the
+# next.  Elementwise results do not depend on the blocking.
+_BLOCK = 1 << 15
+
+
+def _block_rows(shape) -> list[slice] | None:
+    """Row slices of an array of `shape`, each holding at most `_BLOCK`
+    entries, or one row when a row is wider; None when the whole array
+    fits in one block."""
+    size = math.prod(shape)
+    if size <= _BLOCK:
+        return None
+    step = max(1, _BLOCK // (size // shape[0]))
+    return [slice(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
+
+
 class Adam:
     """Adaptive-moment gradient steps over one named parameter group, with
     optional global-norm clipping.  Step counts start at zero.  `group`
@@ -123,20 +145,30 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros(t.values.shape) for t in tensors]
         self._v = [np.zeros(t.values.shape) for t in tensors]
-        # one buffer holding two tensor-sized work areas, shared by every
-        # tensor of every step: `_work[i]` views it in tensor i's shape
-        scratch = np.empty(2 * max((t.values.size for t in tensors), default=0))
-        self._work = [(scratch[:t.values.size].reshape(t.values.shape),
-                       scratch[t.values.size:2 * t.values.size].reshape(t.values.shape))
-                      for t in tensors]
+        # `grad_norm` squares each gradient whole, into one tensor-sized area
+        squares = np.empty(max((t.values.size for t in tensors), default=0))
+        self._squares = [squares[:t.values.size].reshape(t.values.shape) for t in tensors]
+        # `step` runs block by block through two block-sized work areas:
+        # `_work[i]` lists, per block of tensor i, its rows (None for a
+        # tensor that fits in one block) and the two areas in its shape
+        blocks = [[(rows, t.values.shape if rows is None else t.values[rows].shape)
+                   for rows in _block_rows(t.values.shape) or [None]] for t in tensors]
+        widest = max((math.prod(shape) for per in blocks for _, shape in per), default=0)
+        work = np.empty(2 * widest)
+
+        def area(start, shape):
+            return work[start:start + math.prod(shape)].reshape(shape)
+
+        self._work = [[(rows, area(0, shape), area(widest, shape)) for rows, shape in per]
+                      for per in blocks]
         self._norm = None
 
     def grad_norm(self) -> float:
         """Global L2 norm of the group's `.grad`, kept for the next `step`.
         A non-finite norm raises NumericError naming the group, so a
         caller can check every group before any of them steps."""
-        total = np.sqrt(sum(float(np.multiply(t.grad, t.grad, out=a).sum())
-                            for t, (a, _) in zip(self.tensors, self._work)))
+        total = np.sqrt(sum(float(np.multiply(t.grad, t.grad, out=sq).sum())
+                            for t, sq in zip(self.tensors, self._squares)))
         if not np.isfinite(total):
             raise NumericError(f"gradient norm of group {self.group} is {total}")
         self._norm = total
@@ -155,22 +187,25 @@ class Adam:
         bc2 = 1.0 - self.beta2**self.step_count
         # m += (1-b1)(g - m); v += (1-b2)(g*g - v);
         # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time
-        for t, mom, vel, (a, b) in zip(self.tensors, self._m, self._v, self._work):
-            g = t.grad if factor == 1.0 else np.multiply(t.grad, factor, out=a)
-            np.subtract(g, mom, out=b)
-            b *= 1.0 - self.beta1
-            mom += b
-            np.multiply(g, g, out=b)
-            b -= vel
-            b *= 1.0 - self.beta2
-            vel += b
-            np.divide(mom, bc1, out=a)
-            a *= self.lr
-            np.divide(vel, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            t.values -= a
+        for t, mom, vel, work in zip(self.tensors, self._m, self._v, self._work):
+            for rows, a, b in work:
+                grad, theta, m, v = ((t.grad, t.values, mom, vel) if rows is None
+                                     else (t.grad[rows], t.values[rows], mom[rows], vel[rows]))
+                g = grad if factor == 1.0 else np.multiply(grad, factor, out=a)
+                np.subtract(g, m, out=b)
+                b *= 1.0 - self.beta1
+                m += b
+                np.multiply(g, g, out=b)
+                b -= v
+                b *= 1.0 - self.beta2
+                v += b
+                np.divide(m, bc1, out=a)
+                a *= self.lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                theta -= a
 
 
 def dual_parameter_groups(params: ModelParameters):
@@ -235,6 +270,11 @@ def l2_penalty(params: ModelParameters, coefficient: float) -> float:
     return 0.5 * coefficient * total
 
 
+def _track(tensors: list[Tensor], flag: bool):
+    for t in tensors:
+        t.requires_grad = flag
+
+
 def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mode: m.Mode,
                    l2: float, group_b: Sequence[str] = ()) -> float:
     """One training step's gradients, left in every parameter's `.grad`;
@@ -243,31 +283,37 @@ def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mo
     Tensors named in `group_b` get the gradient of the backward-only term
     -bw.  Every other tensor gets the full objective's gradient: the
     tape's plus l2 * theta.  Both gradients are taken at the current
-    parameters.  A non-finite loss raises NumericError."""
+    parameters, from one forward pass: the backward-only pass runs with
+    the other tensors frozen (`requires_grad` cleared) and the full pass
+    with group B frozen, so each pass writes its own group's `.grad` and
+    walks only the tape entries that lead to it.  A non-finite loss
+    raises NumericError."""
     params.zero_grads()
     b_tensors = [params.get(name) for name in group_b]
     b_ids = {id(t) for t in b_tensors}
     a_tensors = [t for _, t in params.named_tensors() if id(t) not in b_ids]
-    aside = []
-    with Tape():
+    with Tape() as tape:
         full, bw_term = objective(sentences, params, mode)
         value = float(full.values) + l2_penalty(params, l2)
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss {value}")
-        if b_tensors:
-            backward(bw_term)
-            # group B keeps this gradient; the full pass adds into fresh buffers
-            aside = [t.grad for t in b_tensors]
-            for t in b_tensors:
-                t.grad = np.zeros(t.values.shape)
-            for t in a_tensors:
-                t.zero_grad()
-        backward(full)
+        try:
+            if b_tensors:
+                _track(a_tensors, False)
+                backward(bw_term)
+                _track(a_tensors, True)
+            _track(b_tensors, False)
+            backward(full)
+        finally:
+            _track(a_tensors + b_tensors, True)
+            # a tape and its outputs refer to each other: emptying it frees
+            # the step's activations now, not at the next cyclic collection
+            tape.entries.clear()
     if l2 != 0.0:
         for t in a_tensors:
-            t.grad += l2 * t.values
-    for t, g in zip(b_tensors, aside):
-        t.grad = g
+            for rows in _block_rows(t.values.shape) or [slice(None)]:
+                grad = t.grad[rows]
+                grad += l2 * t.values[rows]
     return value
 
 
@@ -357,6 +403,14 @@ def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None
     config.validate()
     if not corpus.train or not corpus.dev:
         raise ContractError("training needs non-empty train and dev splits")
+    # score every split a run evaluates gold against gold, so that a split
+    # the metrics reject fails here and not after the first epoch
+    for split in (corpus.dev, corpus.test):
+        gold = [s.labels for s in split]
+        if None in gold:
+            raise ContractError("evaluation split contains an unlabeled sentence")
+        if gold:
+            evaluate_tags(gold, gold)
     vocabs = vocabs or build_vocabularies(corpus.train, config.min_count)
     train = encode_corpus(corpus.train, vocabs)
     dev = encode_corpus(corpus.dev, vocabs)
@@ -380,7 +434,7 @@ def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None
 
     log: list[str] = []
     epoch_reports: list[EvalReport] = []
-    best_snapshot = None
+    best_values = None
     best_report = None
     best_epoch = -1
     order = list(range(len(batches)))
@@ -408,10 +462,12 @@ def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None
         log.append(_format_epoch(epoch, loss_total / token_total, report, seconds))
         if _better(report, best_report, config.select_by):
             best_report = report
-            best_snapshot = params.snapshot()
             best_epoch = epoch
+            # no later step moves the last epoch's parameters: adopt them uncopied
+            best_values = (params.snapshot() if epoch < config.epochs
+                           else {name: t.values for name, t in params.named_tensors()})
     best = ModelParameters(dims, rng=None)
-    best.load_snapshot(best_snapshot)
+    best.load_snapshot(best_values)
     return TrainResult(
         params=best, log=log, best_epoch=best_epoch,
         best_report=best_report, epoch_reports=epoch_reports,
@@ -458,14 +514,6 @@ def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = 
         seeds = [config.seed + k for k in range(config.runs)]
     elif len(seeds) != config.runs:
         raise ConfigError(f"{config.runs} runs but {len(seeds)} seeds")
-    # score every split a run evaluates gold against gold, so that a split
-    # the metrics reject fails here and not after a run's first epoch
-    for split in (corpus.dev, corpus.test):
-        gold = [s.labels for s in split]
-        if None in gold:
-            raise ContractError("evaluation split contains an unlabeled sentence")
-        if gold:
-            evaluate_tags(gold, gold)
     jobs = [(corpus, config, seed, output)
             for seed, output in zip(seeds, outputs or [None] * len(seeds), strict=True)]
     if config.jobs > 1:

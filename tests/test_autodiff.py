@@ -424,6 +424,50 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(w)
 
+    def test_frozen_leaves_are_pruned_from_the_walk(self):
+        # w and the table `emb` want gradients; f and the table `frozen`
+        # have `requires_grad` cleared between the forward and backward pass
+        rng = SplitMix64(8)
+        w, f = (Tensor(_rand(rng, (3, 2)), requires_grad=True) for _ in range(2))
+        emb, frozen = (Tensor(_rand(rng, (5, 3)), requires_grad=True) for _ in range(2))
+
+        def build():
+            own, shared = ad.take_rows(emb, [0, 3, 3, 1]), ad.take_rows(frozen, [2, 0, 1, 2])
+            picked = ad.take_rows(frozen, [1, 4, 0, 2])
+            pre = ad.matmul(picked, f)
+            gate = ad.tanh(pre)
+            loss = ad.tensor_sum(ad.mul(ad.matmul(ad.add(own, shared), w), gate))
+            return loss, [shared, picked, pre, gate]
+
+        with Tape():
+            backward(build()[0])
+        expected = [w.grad.copy(), emb.grad.copy()]
+        w.zero_grad()
+        emb.zero_grad()
+        f.grad.fill(7.0)
+        frozen.grad.fill(7.0)
+        called = set()
+
+        def recorded(out, fn):
+            def back(g):
+                called.add(out.node_id)
+                return fn(g)
+            return back
+
+        with Tape() as tape:
+            loss, frozen_side = build()
+            tape.entries[:] = [(out, inputs, recorded(out, fn)) for out, inputs, fn in tape.entries]
+            f.requires_grad = frozen.requires_grad = False
+            backward(loss)
+        np.testing.assert_array_equal(w.grad, expected[0])
+        np.testing.assert_array_equal(emb.grad, expected[1])
+        # take_rows writes a leaf table's rows straight into `.grad`: the
+        # frozen table's entries must not run at all
+        np.testing.assert_array_equal(f.grad, np.full((3, 2), 7.0))
+        np.testing.assert_array_equal(frozen.grad, np.full((5, 3), 7.0))
+        assert called.isdisjoint(t.node_id for t in frozen_side)
+        assert len(called) == len(tape) - len(frozen_side)
+
     def test_shared_subexpression_counted_once_per_use(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape():

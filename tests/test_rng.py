@@ -61,3 +61,15 @@ def test_randint_bounds():
     draws = [rng.randint(7) for _ in range(2000)]
     assert min(draws) == 0
     assert max(draws) == 6
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (65536,), (65537,), (3, 65536 + 5)])
+def test_uniform_array_scales_floats_bit_for_bit_across_blocks(shape):
+    # `uniform_array` scales and shifts each block of `floats` as it is
+    # drawn: the result must be the whole-array formula's, bit for bit
+    lo, hi = -0.37, 0.81
+    a = SplitMix64(41)
+    b = SplitMix64(41)
+    expected = (a.floats(int(np.prod(shape))) * (hi - lo) + lo).reshape(shape)
+    np.testing.assert_array_equal(b.uniform_array(shape, lo, hi), expected)
+    assert a._state == b._state

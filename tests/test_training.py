@@ -1,7 +1,9 @@
 """Objective, optimizers, training loops, evaluation, and serialization."""
 
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,14 @@ from seqtag.data import (
     stream_chunks,
 )
 from seqtag import training
-from seqtag.errors import ConfigError, ContractError, IngestionError, TrainingError
+from seqtag.errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    IngestionError,
+    MetricUndefinedError,
+    TrainingError,
+)
 from seqtag.model import ModelDims, ModelParameters
 from seqtag.rng import SplitMix64
 from seqtag.serialization import load_model, save_model
@@ -125,6 +134,28 @@ class TestLoss:
             training.step_gradients([], params, TRAIN_MODE, 0.0)
 
 
+class TestStepGradients:
+    def test_step_frees_its_tape_without_the_cyclic_collector(self, monkeypatch):
+        # a step's activations must not wait for a cyclic collection:
+        # a train call would otherwise hold several steps' tapes at once
+        tapes = []
+
+        class RecordedTape(Tape):
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(training, "Tape", RecordedTape)
+        params, enc, _ = zero_param_fixture()
+        _, group_b = dual_parameter_groups(params)
+        gc.disable()
+        try:
+            training.step_gradients(enc, params, TRAIN_MODE, 0.0, group_b)
+            assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            gc.enable()
+
+
 class TestStackedObjective:
     def test_dropout_masks_follow_row_order(self):
         # each dropout draws its mask in row-major order over its stack:
@@ -202,8 +233,9 @@ class TestAdam:
     @pytest.mark.parametrize("clip_norm", [None, 1e9, 0.5])
     def test_step_matches_reference_formula_bit_for_bit(self, clip_norm):
         rng = SplitMix64(21)
+        # the last shape spans more than one update block, and not a whole number of them
         tensors = [ad.Tensor(rng.uniform_array(shape, -1.0, 1.0), requires_grad=True)
-                   for shape in ((3, 4), (5,), (2, 2))]
+                   for shape in ((3, 4), (5,), (2, 2), (training._BLOCK // 64 + 3, 64))]
         ref_values = [t.values.copy() for t in tensors]
         ref_m = [np.zeros_like(v) for v in ref_values]
         ref_v = [np.zeros_like(v) for v in ref_values]
@@ -279,6 +311,43 @@ class TestTrainSingle:
             r"epoch=1 train_loss=\S+ dev_acc=\S+ dev_f1=\S+ dev_cer=\S+ seconds=\S+",
             result.log[0],
         )
+
+
+class TestBestEpoch:
+    def _forced(self, monkeypatch, best_epoch):
+        """Make epoch `best_epoch` the only one `_better` accepts, after
+        the first, and record the live parameters `train` evaluates."""
+        seen = {"epoch": 0}
+        original_evaluate = training.evaluate
+
+        def evaluate(params, *args):
+            seen["epoch"] += 1
+            seen["live"] = params
+            return original_evaluate(params, *args)
+
+        monkeypatch.setattr(training, "evaluate", evaluate)
+        monkeypatch.setattr(training, "_better", lambda candidate, incumbent, select_by:
+                            incumbent is None or seen["epoch"] == best_epoch)
+        return seen
+
+    def test_earlier_best_epoch_returns_its_copy(self, monkeypatch):
+        corpus = overfit_corpus(6)
+        one_epoch = train(corpus, overfit_config(epochs=1, regime="dual"))
+        seen = self._forced(monkeypatch, 1)
+        result = train(corpus, overfit_config(epochs=2, regime="dual"))
+        assert result.best_epoch == 1
+        changed = 0
+        for name, t in result.params.named_tensors():
+            np.testing.assert_array_equal(t.values, one_epoch.params.get(name).values, err_msg=name)
+            changed += not np.array_equal(t.values, seen["live"].get(name).values)
+        assert changed > 0
+
+    def test_last_best_epoch_returns_the_final_parameters_uncopied(self, monkeypatch):
+        seen = self._forced(monkeypatch, 2)
+        result = train(overfit_corpus(6), overfit_config(epochs=2, regime="dual"))
+        assert result.best_epoch == 2
+        for name, t in result.params.named_tensors():
+            assert t.values is seen["live"].get(name).values, name
 
 
 class TestTrainDual:
@@ -415,6 +484,24 @@ class TestTrainDual:
         assert strip_seconds(single.log) == strip_seconds(dual.log)
         for name, t in single.params.named_tensors():
             np.testing.assert_array_equal(t.values, dual.params.get(name).values)
+
+
+class TestSplitsTheMetricsReject:
+    @pytest.mark.parametrize("split, tags, error", [
+        ("dev", ("O", "O"), MetricUndefinedError),
+        ("dev", ("NN", "B-loc"), FormatError),
+        ("test", ("O", "O"), MetricUndefinedError),
+    ], ids=["dev-without-gold-chunk", "dev-non-bio-tag", "test-without-gold-chunk"])
+    def test_train_fails_before_the_first_step(self, monkeypatch, split, tags, error):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "step_gradients", no_step)
+        good = overfit_corpus(4)
+        splits = {"train": good.train, "dev": good.dev, "test": []}
+        splits[split] = [TaggedSentence(tokens=["the", "river"], labels=list(tags))]
+        with pytest.raises(error):
+            train(Corpus(**splits), overfit_config(epochs=1))
 
 
 class TestBackwardDecoderValue:

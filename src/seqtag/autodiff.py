@@ -9,8 +9,10 @@ Without an active tape the same functions compute values only, which is
 how inference runs.
 
 Only leaves (tensors created with `requires_grad=True`, not produced by
-an operation) keep a `.grad`, accumulated in place.  Gradients of
-intermediate results live only while `backward` needs them.
+an operation) keep a `.grad`, accumulated in place.  A leaf holds none
+until the first gradient is written to it, so a model that only tags
+holds its values alone.  Gradients of intermediate results live only
+while `backward` needs them.
 
 Shape conventions: parameters and activations are 1-D or 2-D; 2-D
 tensors carry batch rows.  The only broadcast supported is adding a 1-D
@@ -65,12 +67,17 @@ class Tape:
 
 
 class Tensor:
+    """A float64 array, and for a leaf its gradient.  `.grad` is None
+    until something writes a gradient: `backward` (including the rows
+    `take_rows` scatters into a leaf table) or `zero_grad` creates it as
+    zeros on the first write and accumulates into it from then on."""
+
     __slots__ = ("values", "grad", "requires_grad", "node_id", "tape", "name")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros(self.values.shape) if requires_grad else None
+        self.grad = None
         self.node_id = next(_ids)
         self.tape = None
         self.name = name
@@ -79,8 +86,17 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
+    def grad_to_write(self) -> np.ndarray:
+        """`.grad`, created as zeros if no gradient was written yet."""
+        if self.grad is None:
+            self.grad = np.zeros(self.values.shape)
+        return self.grad
+
     def zero_grad(self):
-        if self.grad is not None:
+        """Zero `.grad`, creating it if no gradient was written yet."""
+        if self.grad is None:
+            self.grad_to_write()
+        else:
             self.grad.fill(0.0)
 
     def __repr__(self):
@@ -100,8 +116,8 @@ def _emit(values, inputs, backward_fn) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every leaf reachable from
-    `loss` that has `requires_grad` now.  Repeated calls accumulate
-    additively.
+    `loss` that has `requires_grad` now, creating a leaf's `.grad` on its
+    first gradient.  Repeated calls accumulate additively.
 
     A leaf whose `requires_grad` was cleared after the forward pass is
     frozen: a forward sweep of the tape marks the entries whose output
@@ -133,7 +149,8 @@ def backward(loss: Tensor) -> None:
             if gi is None or not wanted(tensor):
                 continue
             if tensor.tape is None:
-                tensor.grad += gi
+                grad = tensor.grad_to_write()
+                grad += gi
             elif tensor.node_id in pending:
                 pending[tensor.node_id] = pending[tensor.node_id] + gi
             else:
@@ -228,7 +245,7 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor; duplicate ids accumulate on backward.
     A leaf source (an embedding table) receives its gradient rows straight
-    into `.grad`, so no table-sized array is built."""
+    into `.grad`, so no table-sized array is built beyond `.grad` itself."""
     idx = np.asarray(ids, dtype=np.int64)
     tv = table.values
     if tv.ndim != 2:
@@ -238,7 +255,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
 
     def back(g):
         if table.tape is None:
-            np.add.at(table.grad, idx, g)
+            np.add.at(table.grad_to_write(), idx, g)
             return (None,)
         gt = np.zeros_like(tv)
         np.add.at(gt, idx, g)

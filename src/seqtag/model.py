@@ -100,15 +100,27 @@ EVAL = Mode()
 
 class _Store:
     """Ordered named-parameter registry; the L2 term, the optimizers, the
-    gradient checker, and the model file all enumerate exactly this set."""
+    gradient checker, and the model file all enumerate exactly this set.
+    Each tensor is drawn from `rng` (zeros without one) or, given
+    `values`, adopts the array of its name uncopied."""
 
-    def __init__(self, rng: SplitMix64 | None):
+    def __init__(self, rng: SplitMix64 | None, values: dict[str, np.ndarray] | None = None):
         self._rng = rng
+        self._values = values
         self.tensors: dict[str, Tensor] = {}
 
-    def _register(self, name: str, values) -> Tensor:
+    def _register(self, name: str, shape, make) -> Tensor:
         if name in self.tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
+        if self._values is None:
+            values = make()
+        elif name not in self._values:
+            raise ContractError(f"parameter set mismatch: {name!r} missing")
+        else:
+            values = self._values[name]
+            if values.shape != shape:
+                raise ContractError(
+                    f"parameter {name}: shape {values.shape} does not match {shape}")
         t = Tensor(values, requires_grad=True, name=name)
         self.tensors[name] = t
         return t
@@ -116,18 +128,15 @@ class _Store:
     def matrix(self, name: str, shape, fan_in: int | None = None) -> Tensor:
         fan = shape[0] if fan_in is None else fan_in
         bound = 1.0 / np.sqrt(fan)
-        values = (
-            np.zeros(shape)
-            if self._rng is None
-            else self._rng.uniform_array(shape, -bound, bound)
-        )
-        return self._register(name, values)
+        return self._register(name, shape, lambda: (
+            np.zeros(shape) if self._rng is None
+            else self._rng.uniform_array(shape, -bound, bound)))
 
     def zeros(self, name: str, shape) -> Tensor:
-        return self._register(name, np.zeros(shape))
+        return self._register(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name: str, shape) -> Tensor:
-        return self._register(name, np.ones(shape))
+        return self._register(name, shape, lambda: np.ones(shape))
 
 
 class LayerNormParams:
@@ -234,12 +243,16 @@ class ResidualBlock:
 
 
 class ModelParameters:
-    """Every learned tensor of the network, enumerable by name."""
+    """Every learned tensor of the network, enumerable by name.  Values
+    are drawn from `rng`, zeros without one, or adopted uncopied from
+    `values`, which must name every tensor with its shape.  No tensor
+    holds a gradient until training writes one."""
 
-    def __init__(self, dims: ModelDims, rng: SplitMix64 | None = None):
+    def __init__(self, dims: ModelDims, rng: SplitMix64 | None = None,
+                 values: dict[str, np.ndarray] | None = None):
         dims.validate()
         self.dims = dims
-        store = _Store(rng)
+        store = _Store(rng, values)
         d = dims.width
         self.word_table = store.matrix("embed.word", (dims.n_words, dims.word_dim), fan_in=dims.word_dim)
         self.char_table = store.matrix("embed.char", (dims.n_chars, dims.char_dim), fan_in=dims.char_dim)
@@ -262,6 +275,9 @@ class ModelParameters:
         self.out_fw_w = store.matrix("out.fw.w", (3 * d, dims.n_labels))
         self.out_fw_b = store.zeros("out.fw.b", (dims.n_labels,))
         self._tensors = store.tensors
+        if values is not None and len(values) != len(self._tensors):
+            raise ContractError(
+                f"parameter set mismatch: {sorted(set(values) - set(self._tensors))}")
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return list(self._tensors.items())
@@ -273,28 +289,16 @@ class ModelParameters:
         return self._tensors[name]
 
     def zero_grads(self):
+        """Zero every tensor's gradient, creating the ones no pass has
+        written yet, so that each optimizer finds one per tensor."""
         for t in self._tensors.values():
             t.zero_grad()
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.values.copy() for name, t in self._tensors.items()}
 
-    def load_snapshot(self, values: dict[str, np.ndarray]):
-        if set(values) != set(self._tensors):
-            missing = set(self._tensors) ^ set(values)
-            raise ContractError(f"parameter set mismatch: {sorted(missing)}")
-        for name, arr in values.items():
-            t = self._tensors[name]
-            if t.values.shape != arr.shape:
-                raise ContractError(
-                    f"parameter {name}: shape {arr.shape} does not match {t.values.shape}"
-                )
-            t.values = np.asarray(arr, dtype=np.float64)
-
     def clone(self) -> "ModelParameters":
-        twin = ModelParameters(self.dims, rng=None)
-        twin.load_snapshot(self.snapshot())
-        return twin
+        return ModelParameters(self.dims, values=self.snapshot())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +41,14 @@ FORMAT_VERSION = 1
 
 def _write_str(out, s: str, fmt: str = "<H"):
     raw = s.encode("utf-8")
-    out.append(struct.pack(fmt, len(raw)))
-    out.append(raw)
+    out.write(struct.pack(fmt, len(raw)))
+    out.write(raw)
 
 
-def _pack(params: ModelParameters, vocabs: VocabSet, meta_float: dict[str, float]) -> bytes:
+def _write(out, params: ModelParameters, vocabs: VocabSet, meta_float: dict[str, float]):
+    """The model file's sections in order; each tensor's float64 buffer
+    goes to `out` as it is, copied only if it is not contiguous
+    little-endian already."""
     meta_int: dict[str, int] = {}
     for f in dataclasses.fields(ModelDims):
         value = getattr(params.dims, f.name)
@@ -52,36 +57,39 @@ def _pack(params: ModelParameters, vocabs: VocabSet, meta_float: dict[str, float
             meta_int.update({f"n_feat{k}": n for k, n in enumerate(value)})
         else:
             meta_int[f.name] = int(value)
-    out: list[bytes] = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    out.append(struct.pack("<I", len(meta_int)))
+    out.write(MAGIC)
+    out.write(struct.pack("<I", FORMAT_VERSION))
+    out.write(struct.pack("<I", len(meta_int)))
     for name, value in meta_int.items():
         _write_str(out, name)
-        out.append(struct.pack("<q", value))
-    out.append(struct.pack("<I", len(meta_float)))
+        out.write(struct.pack("<q", value))
+    out.write(struct.pack("<I", len(meta_float)))
     for name, value in meta_float.items():
         _write_str(out, name)
-        out.append(struct.pack("<d", value))
+        out.write(struct.pack("<d", value))
     vocab_items = [("word", vocabs.word), ("char", vocabs.char), ("label", vocabs.label)]
     vocab_items += [(f"feat{k}", v) for k, v in enumerate(vocabs.feats)]
-    out.append(struct.pack("<I", len(vocab_items)))
+    out.write(struct.pack("<I", len(vocab_items)))
     for name, vocab in vocab_items:
         _write_str(out, name)
-        out.append(struct.pack("<I", len(vocab)))
+        out.write(struct.pack("<I", len(vocab)))
         for s in vocab.strings:
             _write_str(out, s, "<I")
     tensors = params.named_tensors()
-    out.append(struct.pack("<I", len(tensors)))
+    out.write(struct.pack("<I", len(tensors)))
     for name, tensor in tensors:
         _write_str(out, name)
-        out.append(struct.pack("<I", tensor.values.ndim))
-        out.append(struct.pack(f"<{tensor.values.ndim}I", *tensor.values.shape))
-        out.append(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
-    return b"".join(out)
+        out.write(struct.pack("<I", tensor.values.ndim))
+        out.write(struct.pack(f"<{tensor.values.ndim}I", *tensor.values.shape))
+        out.write(np.ascontiguousarray(tensor.values, dtype="<f8").data)
 
 
 def save_model(path, params: ModelParameters, vocabs: VocabSet, meta_float: dict[str, float]):
+    """Write the model file, header first and then each tensor straight
+    from its array, with no whole-file buffer; and its manifest."""
     path = Path(path)
-    path.write_bytes(_pack(params, vocabs, meta_float))
+    with path.open("wb") as out:
+        _write(out, params, vocabs, meta_float)
     manifest = {
         "format_version": FORMAT_VERSION,
         "dimensions": {name: getattr(params.dims, name) for name in ModelDims.layer_names()},
@@ -103,17 +111,23 @@ def save_model(path, params: ModelParameters, vocabs: VocabSet, meta_float: dict
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
+    """Reads from an open model file, each checked against the bytes the
+    file has left, so a truncated file fails before a read runs past its
+    end."""
+
+    def __init__(self, file, path):
+        self.file = file
         self.path = path
+        self.left = os.fstat(file.fileno()).st_size
+
+    def _claim(self, n: int):
+        if n > self.left:
+            raise IngestionError(f"{self.path}: truncated model file")
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise IngestionError(f"{self.path}: truncated model file")
-        chunk = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        self._claim(n)
+        return self.file.read(n)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -122,14 +136,29 @@ class _Reader:
         (n,) = self.unpack(fmt)
         return self.take(n).decode("utf-8")
 
+    def fill(self, values: np.ndarray):
+        """Read the next little-endian float64 entries straight into the
+        contiguous `values`."""
+        self._claim(values.nbytes)
+        self.file.readinto(values)
+        if sys.byteorder != "little":
+            values.byteswap(inplace=True)
+
 
 def load_model(path):
     """Read a model file back into (params, vocabs, meta) where meta holds
-    both header sections.  A file that is truncated, has bytes after the
-    last tensor, lacks a header key or vocabulary, or whose tensors do not
+    both header sections.  Each tensor is read straight into the new
+    model's array, with no whole-file buffer; the model holds no
+    gradients.  A file that is truncated, has bytes after the last
+    tensor, lacks a header key or vocabulary, or whose tensors do not
     match the model its header describes (missing, extra, duplicated, or
     of another shape) raises IngestionError."""
-    reader = _Reader(Path(path).read_bytes(), path)
+    with open(path, "rb") as file:
+        return _read(_Reader(file, path))
+
+
+def _read(reader: _Reader):
+    path = reader.path
     if reader.take(len(MAGIC)) != MAGIC:
         raise IngestionError(f"{path}: not a model file (bad magic)")
     (version,) = reader.unpack("<I")
@@ -178,28 +207,27 @@ def load_model(path):
             value = header(f.name)
             dims[f.name] = bool(value) if isinstance(f.default, bool) else value
     params = ModelParameters(ModelDims(**dims), rng=None)
-    expected = {name: t.values.shape for name, t in params.named_tensors()}
+    expected = dict(params.named_tensors())
     (n,) = reader.unpack("<I")
-    values: dict[str, np.ndarray] = {}
+    read: set[str] = set()
     for _ in range(n):
         name = reader.string()
-        if name in values:
+        if name in read:
             raise IngestionError(f"{path}: tensor {name!r} appears twice")
         if name not in expected:
             raise IngestionError(f"{path}: unexpected tensor {name!r}")
         (ndim,) = reader.unpack("<I")
         shape = reader.unpack(f"<{ndim}I")
-        if shape != expected[name]:
+        values = expected[name].values
+        if shape != values.shape:
             raise IngestionError(
-                f"{path}: tensor {name!r} has shape {shape}, the header implies {expected[name]}"
+                f"{path}: tensor {name!r} has shape {shape}, the header implies {values.shape}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(reader.take(count * 8), dtype="<f8").reshape(shape)
-        values[name] = arr.astype(np.float64)
-    missing = [name for name in expected if name not in values]
+        reader.fill(values)
+        read.add(name)
+    missing = [name for name in expected if name not in read]
     if missing:
         raise IngestionError(f"{path}: tensors missing: {missing}")
-    if reader.pos != len(reader.blob):
-        raise IngestionError(f"{path}: {len(reader.blob) - reader.pos} bytes after the last tensor")
-    params.load_snapshot(values)
+    if reader.left:
+        raise IngestionError(f"{path}: {reader.left} bytes after the last tensor")
     return params, vocabs, {"int": meta_int, "float": meta_float}

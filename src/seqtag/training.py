@@ -464,10 +464,13 @@ def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None
             best_report = report
             best_epoch = epoch
             # no later step moves the last epoch's parameters: adopt them uncopied
-            best_values = (params.snapshot() if epoch < config.epochs
-                           else {name: t.values for name, t in params.named_tensors()})
-    best = ModelParameters(dims, rng=None)
-    best.load_snapshot(best_values)
+            best_values = params.snapshot() if epoch < config.epochs else None
+    if best_values is None:
+        best = params
+        for _, t in best.named_tensors():
+            t.grad = None
+    else:
+        best = ModelParameters(dims, values=best_values)
     return TrainResult(
         params=best, log=log, best_epoch=best_epoch,
         best_report=best_report, epoch_reports=epoch_reports,

@@ -569,13 +569,24 @@ class TestModelParameters:
         params.get("embed.word").values[0, 0] += 1.0
         np.testing.assert_array_equal(twin.get("embed.word").values, snap["embed.word"])
 
-    def test_load_snapshot_adopts_float64_arrays(self):
+    def test_values_are_adopted_uncopied(self):
         params, _, _ = tiny_setup()
         snap = params.snapshot()
-        twin = ModelParameters(params.dims, rng=None)
-        twin.load_snapshot(snap)
+        twin = ModelParameters(params.dims, values=snap)
         for name, arr in snap.items():
             assert twin.get(name).values is arr, name
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda snap: snap.pop("out.fw.b"), "'out.fw.b' missing"),
+        (lambda snap: snap.update(extra=np.zeros(2)), "mismatch: \\['extra'\\]"),
+        (lambda snap: snap.update({"enc.proj": np.zeros((2, 2))}), "enc.proj: shape"),
+    ])
+    def test_values_must_name_every_tensor_with_its_shape(self, edit, error):
+        params, _, _ = tiny_setup()
+        snap = params.snapshot()
+        edit(snap)
+        with pytest.raises(ContractError, match=error):
+            ModelParameters(params.dims, values=snap)
 
     def test_plain_mode_has_no_block_parameters(self):
         params, _, _ = tiny_setup(blocks=False)

@@ -1,8 +1,10 @@
 """Objective, optimizers, training loops, evaluation, and serialization."""
 
 import gc
+import hashlib
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -243,7 +245,7 @@ class TestAdam:
         for step in range(1, 4):
             grads = [rng.uniform_array(t.values.shape, -2.0, 2.0) for t in tensors]
             for t, g in zip(tensors, grads):
-                t.grad[...] = g
+                t.grad = g
             opt.step()
             # the textbook update, one array expression per moment
             total = np.sqrt(sum(float((g * g).sum()) for g in grads))
@@ -336,6 +338,7 @@ class TestBestEpoch:
         seen = self._forced(monkeypatch, 1)
         result = train(corpus, overfit_config(epochs=2, regime="dual"))
         assert result.best_epoch == 1
+        assert all(t.grad is None for _, t in result.params.named_tensors())
         changed = 0
         for name, t in result.params.named_tensors():
             np.testing.assert_array_equal(t.values, one_epoch.params.get(name).values, err_msg=name)
@@ -348,6 +351,51 @@ class TestBestEpoch:
         assert result.best_epoch == 2
         for name, t in result.params.named_tensors():
             assert t.values is seen["live"].get(name).values, name
+            assert t.grad is None, name
+
+
+class TestGradientLifecycle:
+    def test_models_hold_values_only(self, tmp_path):
+        corpus = overfit_corpus(6)
+        vocabs = build_vocabularies(corpus.train)
+        constructed, _ = training._micro_fixture(1)
+        trained = train(corpus, overfit_config(epochs=1), vocabs).params
+        path = tmp_path / "model.bin"
+        save_model(path, trained, vocabs, {"dropout": 0.1, "l2": 0.0})
+        models = {"constructed": constructed, "cloned": constructed.clone(),
+                  "trained": trained, "loaded": load_model(path)[0]}
+        for what, params in models.items():
+            assert all(t.grad is None for _, t in params.named_tensors()), what
+
+    def test_first_writes_create_what_preallocated_zeros_would_hold(self):
+        params, batch = training._micro_fixture(1)
+        _, group_b = dual_parameter_groups(params)
+
+        def fresh(preallocate: bool):
+            twin = params.clone()
+            if preallocate:
+                for _, t in twin.named_tensors():
+                    t.grad = np.zeros(t.values.shape)
+            return twin
+
+        def step(twin):
+            training.step_gradients(batch, twin, TRAIN_MODE, 0.01, group_b)
+
+        def tape_only(twin):
+            # no `zero_grads` first: each leaf's gradient, the rows
+            # `take_rows` scatters into `embed.word` included, is created
+            # by its first write
+            with Tape():
+                backward(training.objective(batch, twin, TRAIN_MODE)[0])
+
+        for run in (step, tape_only):
+            created, preallocated = fresh(False), fresh(True)
+            run(created)
+            run(preallocated)
+            for name, t in created.named_tensors():
+                assert t.grad is not None, (run.__name__, name)
+                assert t.grad.tobytes() == preallocated.get(name).grad.tobytes(), \
+                    (run.__name__, name)
 
 
 class TestTrainDual:
@@ -668,6 +716,53 @@ class TestSerialization:
         _, _, result, path = self._trained(tmp_path)
         manifest = json.loads((tmp_path / "model.bin.manifest.json").read_text())
         assert [t["name"] for t in manifest["tensors"]] == result.params.names()
+
+    def test_file_format_is_pinned(self, tmp_path, monkeypatch):
+        # the micro model's untrained values are integer generator
+        # arithmetic and one scale, so its file does not depend on BLAS
+        seen = []
+        build = training.build_vocabularies
+        monkeypatch.setattr(training, "build_vocabularies",
+                            lambda *args: seen.append(build(*args)) or seen[-1])
+        params, _ = training._micro_fixture(1)
+        path = tmp_path / "micro.bin"
+        save_model(path, params, seen[0], {"dropout": 0.5, "l2": 1e-6})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "53a92861ce2ff9b91ec88a6dc3a1127a951ed9bc03ebc26ecc81f4d253884e91"
+
+    def test_files_are_streamed_without_a_whole_file_copy(self, tmp_path):
+        corpus = overfit_corpus(8)
+        vocabs = build_vocabularies(corpus.train)
+        params = ModelParameters(training._model_dims(overfit_config(hidden=100), vocabs),
+                                 SplitMix64(1))
+        tensor_bytes = sum(t.values.nbytes for _, t in params.named_tensors())
+        assert tensor_bytes >= 8 << 20
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            save_model(path, params, vocabs, {"dropout": 0.1, "l2": 0.0})
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded, _, _ = load_model(path)
+            loaded_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert saved < 0.1 * tensor_bytes
+        # the loaded model's own arrays, and little else
+        assert loaded_peak < 1.1 * tensor_bytes
+        for name, t in params.named_tensors():
+            np.testing.assert_array_equal(loaded.get(name).values, t.values, err_msg=name)
+
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda blob: blob[:40], id="inside-the-header"),
+        pytest.param(lambda blob: blob[:-4], id="inside-the-last-tensor"),
+    ])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        _, _, _, path = self._trained(tmp_path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(IngestionError, match="truncated model file"):
+            load_model(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

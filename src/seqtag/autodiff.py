@@ -344,98 +344,97 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _emit(xhat * gv + bias.values, (x, gain, bias), back)
 
 
-def block_sum(x: Tensor, n: int) -> Tensor:
-    """Sum of the n equal row blocks of x, added in block order,
-    x[0:B] + x[B:2B] + ... with B = rows / n, whenever a block holds more
-    than one entry (numpy sums a lone column pairwise)."""
+def _packed_steps(op: str, running, rows: int) -> list[tuple[int, int, int]]:
+    """(first row, end row, row count) of each position of a packed stack
+    of `rows` rows; the counts must be at least 1, never grow, and sum to
+    `rows`."""
+    counts = [int(k) for k in running]
+    if (not counts or counts[-1] < 1 or sum(counts) != rows
+            or any(a < b for a, b in zip(counts, counts[1:]))):
+        raise DimensionError(f"{op}: running counts {counts} do not pack {rows} rows")
+    return [(lo, lo + k, k) for lo, k in zip(itertools.accumulate([0] + counts[:-1]), counts)]
+
+
+def block_sum(x: Tensor, running) -> Tensor:
+    """Per-sequence sum over a packed stack (see `gru_scan`): row j of the
+    result adds the rows of sequence j, position 0 first."""
     xv = x.values
-    if n < 1 or xv.shape[0] % n:
-        raise DimensionError(f"block_sum: {xv.shape[0]} rows do not split into {n} blocks")
-    out = xv.reshape(n, xv.shape[0] // n, *xv.shape[1:]).sum(axis=0)
-    return _emit(out, (x,), lambda g: (np.concatenate([g] * n),))
+    steps = _packed_steps("block_sum", running, xv.shape[0])
+    out = xv[:steps[0][2]].copy()
+    for lo, hi, k in steps[1:]:
+        out[:k] += xv[lo:hi]
+    return _emit(out, (x,), lambda g: (np.concatenate([g[:k] for _, _, k in steps]),))
 
 
 def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
              u: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
-             n: int, reverse: bool = False, running=None) -> Tensor:
-    """A whole GRU recurrence as one tape entry.
+             running, reverse: bool = False) -> Tensor:
+    """A whole GRU recurrence over a packed stack, as one tape entry.
 
-    `x` (n*B, D) stacks n positions of B rows, row i*B + b being position
-    i; `h0` (B, H) is the initial state; `w`, `u` and `b` are the
-    (z, r, candidate) input weights, recurrent weights and biases.  Each
-    step computes
+    `x` (rows, D) is a packed stack: its sequences sorted longest first,
+    position i is the next `running[i]` rows, the j-th of them belonging
+    to sequence j.  `h0` (running[0], H) holds each sequence's initial
+    state; `w`, `u` and `b` are the (z, r, candidate) input weights,
+    recurrent weights and biases.  Each step computes
 
         z = sigmoid((x W_z + h U_z) + b_z), r likewise,
         c = tanh((x W_h + (r*h) U_h) + b_h),  h' = (1 - z) h + z c
 
-    over positions 0..n-1, or n-1..0 when `reverse`.  Only the first
-    `running[i]` rows (all B by default) step at position i; the others
-    keep their state and emit exact zeros, which pass no gradient.  With
-    rows sorted longest first and running[i] the count of rows longer than
-    i, every row runs over its own length in either direction: a reversed
-    scan reaches a row at its last position with its `h0` still in place.
-    The x W products of every position are taken before the loop, one
-    GEMM per gate over the whole stack.  Returns the (n*B, H) states in
-    position order.  The backward pass is backpropagation through time;
-    the weight gradients come from whole-stack GEMMs."""
+    over positions 0, 1, ..., or from the last one down when `reverse`,
+    for the sequences the position holds: a reversed scan so reaches each
+    sequence at its own last position with its `h0` still in place.  The
+    x W products are one GEMM per gate over the whole stack, taken before
+    the loop.  Returns the (rows, H) states in stack order.  The backward
+    pass is backpropagation through time with whole-stack weight GEMMs."""
     xv = x.values
     rows = xv.shape[0]
     hid = h0.values.shape[-1]
-    bsz = rows // n if n >= 1 else 0
-    counts = [bsz] * n if running is None else [int(k) for k in running]
-    if (xv.ndim != 2 or n < 1 or rows % n or h0.values.shape != (bsz, hid)
-            or len(counts) != n or min(counts) < 0 or max(counts) > bsz
+    steps = _packed_steps("gru_scan", running, rows)
+    bsz = steps[0][2]
+    if (xv.ndim != 2 or h0.values.shape != (bsz, hid)
             or any(t.values.shape != (xv.shape[1], hid) for t in w)
             or any(t.values.shape != (hid, hid) for t in u)
             or any(t.values.shape != (hid,) for t in b)):
-        raise DimensionError(
-            f"gru_scan: x {xv.shape} over {n} positions, h0 {h0.values.shape}, "
-            f"running {counts}, w {[t.values.shape for t in w]}, "
-            f"u {[t.values.shape for t in u]}, b {[t.values.shape for t in b]}"
-        )
+        raise DimensionError(f"gru_scan: x {xv.shape}, h0 {h0.values.shape}, w {[t.values.shape for t in w]}, "
+                             f"u {[t.values.shape for t in u]}, b {[t.values.shape for t in b]}")
     (u_z, u_r, u_h), (b_z, b_r, b_h) = (t.values for t in u), (t.values for t in b)
-    xw_z, xw_r, xw_h = ((xv @ t.values).reshape(n, bsz, hid) for t in w)
-    # rows a step skips must read as zeros: they are outputs, and they
-    # reach the whole-stack weight GEMMs of the backward pass
-    prev, states, zs, rs, cands = (np.zeros((n, bsz, hid)) for _ in range(5))
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    xw_z, xw_r, xw_h = (xv @ t.values for t in w)
+    # every row is written once: by its own position's step
+    prev, states, zs, rs, cands = (np.empty((rows, hid)) for _ in range(5))
+    if reverse:
+        steps.reverse()
     h = h0.values.copy()
-    for i in order:
-        k = counts[i]
-        prev[i] = h
+    for lo, hi, k in steps:
         hk = h[:k]
-        z = zs[i, :k] = _sigmoid((xw_z[i, :k] + hk @ u_z) + b_z)
-        r = rs[i, :k] = _sigmoid((xw_r[i, :k] + hk @ u_r) + b_r)
-        c = cands[i, :k] = np.tanh((xw_h[i, :k] + (r * hk) @ u_h) + b_h)
-        h[:k] = states[i, :k] = (1.0 - z) * hk + z * c
+        prev[lo:hi] = hk
+        z = zs[lo:hi] = _sigmoid((xw_z[lo:hi] + hk @ u_z) + b_z)
+        r = rs[lo:hi] = _sigmoid((xw_r[lo:hi] + hk @ u_r) + b_r)
+        c = cands[lo:hi] = np.tanh((xw_h[lo:hi] + (r * hk) @ u_h) + b_h)
+        h[:k] = states[lo:hi] = (1.0 - z) * hk + z * c
 
     def back(g):
-        g = g.reshape(n, bsz, hid)
-        da = np.zeros((n, bsz, 3 * hid))
+        da = np.empty((rows, 3 * hid))
         u_zr = np.concatenate([u_z, u_r], axis=1)
         dh = np.zeros((bsz, hid))
-        for i in reversed(order):
-            k = counts[i]
-            dhk = dh[:k] + g[i, :k]
-            z, r, c, hp = zs[i, :k], rs[i, :k], cands[i, :k], prev[i, :k]
+        for lo, hi, k in reversed(steps):
+            dhk = dh[:k] + g[lo:hi]
+            z, r, c, hp = zs[lo:hi], rs[lo:hi], cands[lo:hi], prev[lo:hi]
             dc = dhk * z * (1.0 - c * c) * _tanh_backward_scale
             drh = dc @ u_h.T
-            da[i, :k, :hid] = dhk * (c - hp) * z * (1.0 - z)
-            da[i, :k, hid:2 * hid] = drh * hp * r * (1.0 - r)
-            da[i, :k, 2 * hid:] = dc
-            dh[:k] = dhk * (1.0 - z) + drh * r + da[i, :k, :2 * hid] @ u_zr.T
-        da = da.reshape(rows, 3 * hid)
+            da[lo:hi, :hid] = dhk * (c - hp) * z * (1.0 - z)
+            da[lo:hi, hid:2 * hid] = drh * hp * r * (1.0 - r)
+            da[lo:hi, 2 * hid:] = dc
+            dh[:k] = dhk * (1.0 - z) + drh * r + da[lo:hi, :2 * hid] @ u_zr.T
         dx = da @ np.concatenate([t.values for t in w], axis=1).T
         dw = xv.T @ da
-        flat_prev = prev.reshape(rows, hid)
-        du_zr = flat_prev.T @ da[:, :2 * hid]
-        du_h = (rs.reshape(rows, hid) * flat_prev).T @ da[:, 2 * hid:]
+        du_zr = prev.T @ da[:, :2 * hid]
+        du_h = (rs * prev).T @ da[:, 2 * hid:]
         db = da.sum(axis=0)
         parts = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
         return (dx, dh, *(dw[:, k] for k in parts), du_zr[:, :hid], du_zr[:, hid:], du_h,
                 *(db[k] for k in parts))
 
-    return _emit(states.reshape(rows, hid), (x, h0, *w, *u, *b), back)
+    return _emit(states, (x, h0, *w, *u, *b), back)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None) -> Tensor:

@@ -1,12 +1,14 @@
 """The tagging network: character-aware encoder, two label-context
 decoders, and the combined output rule.
 
-All sequence functions take a batch of B equal-length sentences of N
-positions and carry one stacked, position-major tensor of shape
-(N*B, width): row i*B + b holds position i of sentence b.  Every
-position-wise layer runs once on the stack; a recurrence is one
-`autodiff.gru_scan` over it.  The encoder and both decoders run their
-recurrent layer inside a residual wrapper:
+All sequence functions take a batch of sentences of any lengths and
+carry one packed stack of shape (tokens, width), laid out by `Packing`:
+the sentences sorted longest first, position i being the next
+`running[i]` rows, and no row that is not a token.  Every position-wise
+layer runs once on the stack; a recurrence is one `autodiff.gru_scan`
+over it.  The character level packs the batch's words the same way.  The
+encoder and both decoders run their recurrent layer inside a residual
+wrapper:
 
     x_hat = Norm1(project(x))
     h     = recurrent(x_hat)             # hidden chain carries raw h
@@ -38,6 +40,8 @@ LABEL_RESERVED = 3
 
 
 def _label_argmax(log_prob_rows: np.ndarray) -> np.ndarray:
+    """The prediction rule: each row's highest real label, ties going to
+    the lowest id."""
     return LABEL_RESERVED + np.argmax(log_prob_rows[:, LABEL_RESERVED:], axis=1)
 
 
@@ -162,10 +166,35 @@ class FeedForward:
         return ad.add(ad.matmul(inner, self.w2), self.b2)
 
 
-def _position_major(rows) -> np.ndarray:
-    """Flatten B equal-length id sequences so that entry i*B + b is
-    position i of sequence b."""
-    return np.array(rows, dtype=np.int64).T.reshape(-1)
+class Packing:
+    """The one batch layout, over sequences of `lengths` (each >= 1), sorted
+    longest first with ties in batch order (`order`).  Position i is the
+    `running[i]` rows from `offsets[i]`, the j-th of them belonging to
+    sequence order[j]; stack row r holds entry `rows[r]` of the
+    concatenated sequences."""
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+            raise ContractError(f"a packing needs one or more lengths >= 1, got {lengths.tolist()}")
+        self.lengths = lengths
+        self.order = np.argsort(-lengths, kind="stable")
+        self.running = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        self.offsets = np.cumsum(self.running) - self.running
+        starts = (np.cumsum(lengths) - lengths)[self.order]
+        self.rows = np.concatenate([starts[:k] + i for i, k in enumerate(self.running)])
+
+    def gather(self, seqs) -> np.ndarray:
+        """Per-sequence entries, one sequence of its length each, in stack order."""
+        if [len(s) for s in seqs] != self.lengths.tolist():
+            raise ContractError(f"{[len(s) for s in seqs]} entries for lengths {self.lengths.tolist()}")
+        return np.concatenate(seqs)[self.rows]
+
+    def split(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Stack rows back into one array per sequence, in batch order."""
+        flat = np.empty_like(stacked)
+        flat[self.rows] = stacked
+        return np.split(flat, np.cumsum(self.lengths)[:-1])
 
 
 class GruCell:
@@ -186,12 +215,11 @@ class GruCell:
         self.u_h = store.matrix(f"{prefix}.u_h", (hidden_dim, hidden_dim))
         self.b_h = store.zeros(f"{prefix}.b_h", (hidden_dim,))
 
-    def scan(self, x: Tensor, h0: Tensor, n: int, reverse: bool = False,
-             running=None) -> Tensor:
-        """The hidden state at every row of the stacked `x` (n positions),
-        starting from `h0` (B, hidden); `running` as in `ad.gru_scan`."""
+    def scan(self, x: Tensor, h0: Tensor, running, reverse: bool = False) -> Tensor:
+        """The hidden state at every row of the packed stack `x`, starting
+        from `h0` (running[0], hidden); see `ad.gru_scan`."""
         return ad.gru_scan(x, h0, (self.w_z, self.w_r, self.w_h), (self.u_z, self.u_r, self.u_h),
-                           (self.b_z, self.b_r, self.b_h), n, reverse, running)
+                           (self.b_z, self.b_r, self.b_h), running, reverse)
 
 
 class BiGru:
@@ -203,11 +231,11 @@ class BiGru:
         self.h0_fw = store.zeros(f"{prefix}.h0_fw", (hidden_dim,))
         self.h0_bw = store.zeros(f"{prefix}.h0_bw", (hidden_dim,))
 
-    def run(self, x: Tensor, n: int, running=None) -> Tensor:
-        bsz = x.values.shape[0] // n
+    def run(self, x: Tensor, running) -> Tensor:
+        bsz = int(running[0])
         return ad.concat([
-            self.fw.scan(x, ad.tile_rows(self.h0_fw, bsz), n, running=running),
-            self.bw.scan(x, ad.tile_rows(self.h0_bw, bsz), n, reverse=True, running=running),
+            self.fw.scan(x, ad.tile_rows(self.h0_fw, bsz), running),
+            self.bw.scan(x, ad.tile_rows(self.h0_bw, bsz), running, reverse=True),
         ])
 
 
@@ -306,148 +334,128 @@ class ModelParameters:
 
 
 def _char_position_reps(batch: list[EncodedSentence], params: ModelParameters) -> Tensor:
-    """Stacked character representations of the whole batch: each word's
-    character recurrence states, summed over the word and mapped through
-    the character feed-forward layer.  The words are sorted longest first
-    into one padded (longest, N*B) character stack, so one packed scan per
-    direction runs every word over its own length."""
-    words = []
-    for i in range(len(batch[0])):
-        for b, sent in enumerate(batch):
-            if len(sent.char_ids[i]) == 0:
+    """Character representations of the batch's words, in the rows of its
+    packed stack: each word's character recurrence states, summed over the
+    word and mapped through the character feed-forward layer.  The words
+    are packed by their own lengths, so one scan per direction runs every
+    word over its own characters."""
+    for b, sent in enumerate(batch):
+        for i, chars in enumerate(sent.char_ids):
+            if not chars:
                 raise ContractError(f"empty token at sentence {b} position {i}")
-            words.append(sent.char_ids[i])
-    lengths = np.array([len(chars) for chars in words])
-    order = np.argsort(-lengths, kind="stable")
-    longest = int(lengths[order[0]])
-    ids = np.zeros((longest, len(words)), dtype=np.int64)
-    for j, w in enumerate(order):
-        ids[:lengths[w], j] = words[w]
-    running = (lengths[:, None] > np.arange(longest)).sum(axis=0)
-    x = ad.take_rows(params.char_table, ids.reshape(-1))
-    total = ad.block_sum(params.char_bigru.run(x, longest, running), longest)
+    flat = [chars for sent in batch for chars in sent.char_ids]
+    words = [flat[r] for r in Packing([len(sent) for sent in batch]).rows]
+    chars = Packing([len(w) for w in words])
+    x = ad.take_rows(params.char_table, chars.gather(words))
+    total = ad.block_sum(params.char_bigru.run(x, chars.running), chars.running)
     reps = ad.tanh(ad.add(ad.matmul(total, params.char_ffnn_w), params.char_ffnn_b))
-    return ad.take_rows(reps, np.argsort(order))
+    return ad.take_rows(reps, np.argsort(chars.order))
 
 
 def encode(batch: list[EncodedSentence], params: ModelParameters, mode: Mode) -> Tensor:
-    """Context-sensitive representation of every position; the batch must
-    hold equal-length sentences.  Returns the stacked (N*B, width) tensor."""
-    if not batch:
-        raise ContractError("encode needs a non-empty batch")
-    n = len(batch[0])
-    if n == 0:
-        raise ContractError("encode needs non-empty sentences")
+    """Context-sensitive representation of every position of a batch of
+    sentences of any lengths: the packed (tokens, width) stack that
+    `Packing` lays out over the sentence lengths."""
     for sent in batch:
-        if len(sent) != n:
-            raise ContractError(f"batch mixes lengths {n} and {len(sent)}")
         if len(sent.feat_ids) != len(params.feat_tables):
             raise ContractError(
                 f"sentence has {len(sent.feat_ids)} feature columns, model expects {len(params.feat_tables)}"
             )
+    pack = Packing([len(sent) for sent in batch])
     parts = [
-        ad.take_rows(params.word_table, _position_major([sent.word_ids for sent in batch])),
+        ad.take_rows(params.word_table, pack.gather([sent.word_ids for sent in batch])),
         _char_position_reps(batch, params),
     ]
     parts += [
-        ad.take_rows(table, _position_major([sent.feat_ids[k] for sent in batch]))
+        ad.take_rows(table, pack.gather([sent.feat_ids[k] for sent in batch]))
         for k, table in enumerate(params.feat_tables)
     ]
     x_hat = params.enc.enter(ad.concat(parts))
-    return params.enc.leave(params.enc.rnn.run(x_hat, n), x_hat, mode)
+    return params.enc.leave(params.enc.rnn.run(x_hat, pack.running), x_hat, mode)
 
 
-def _decode(enc: Tensor, n: int, params: ModelParameters, mode: Mode,
-            teacher_labels: np.ndarray | None, block: ResidualBlock, h0: Tensor,
+def _decode(enc: Tensor, pack: Packing, params: ModelParameters, mode: Mode,
+            teacher_labels: list[np.ndarray] | None, block: ResidualBlock, h0: Tensor,
             out_w: Tensor, out_b: Tensor, out_inputs, reverse: bool):
-    """One label decoder over the stacked encoder output of n positions.
-    A position's context label is the label of the one before it in
-    decoding order.  Under teacher forcing that is the gold label, so the
-    layer body runs once over all n positions; greedy decoding feeds back
-    its own argmax, so the body runs n times over one position each.
+    """One label decoder over the packed encoder output `enc`.  A row's
+    context label is its sentence's label one position earlier in decoding
+    order, `BOUNDARY` where the sentence starts.  Teacher forcing knows
+    them all, so the layer body runs once over the stack; greedy decoding
+    feeds back its argmax, so the body runs once per position.
     `out_inputs(at, states)` lists what the output layer reads, `at(t)`
-    giving the current rows of a stacked tensor t.  Returns (states,
-    log_probs, predictions): stacked tensors and (B, N) label ids."""
-    bsz = enc.values.shape[0] // n
+    giving the current rows of a stacked tensor t."""
 
-    def layer(at, context, h):
+    def layer(at, context, h, running):
         x_hat = block.enter(ad.concat([at(enc), ad.take_rows(params.label_table, context)]))
-        h = block.rnn.scan(x_hat, h, len(context) // bsz, reverse)
+        h = block.rnn.scan(x_hat, h, running, reverse)
         states = block.leave(h, x_hat, mode)
         logits = ad.matmul(ad.concat(out_inputs(at, states)), out_w)
         return h, states, ad.log_softmax(ad.add(logits, out_b))
 
-    h = ad.tile_rows(h0, bsz)
     if teacher_labels is not None:
-        context = np.full((n, bsz), BOUNDARY, dtype=np.int64)
-        if reverse:
-            context[:-1] = teacher_labels.T[1:]
-        else:
-            context[1:] = teacher_labels.T[:-1]
-        _, states, log_probs = layer(lambda t: t, context.reshape(-1), h)
-    else:
-        state_rows, lp_rows = [None] * n, [None] * n
-        context = np.full(bsz, BOUNDARY, dtype=np.int64)
-        for i in range(n - 1, -1, -1) if reverse else range(n):
-            rows = np.arange(i * bsz, (i + 1) * bsz)
-            h, state_rows[i], lp_rows[i] = layer(lambda t: ad.take_rows(t, rows), context, h)
-            context = _label_argmax(lp_rows[i].values)
-        states, log_probs = ad.concat(state_rows, axis=0), ad.concat(lp_rows, axis=0)
-    return states, log_probs, _label_argmax(log_probs.values).reshape(n, bsz).T
+        edge = [BOUNDARY]
+        context = pack.gather([np.concatenate([gold[1:], edge] if reverse else [edge, gold[:-1]])
+                               for gold in teacher_labels])
+        h = ad.tile_rows(h0, int(pack.running[0]))
+        _, states, log_probs = layer(lambda t: t, context, h, pack.running)
+        return states, log_probs
+    n = len(pack.running)
+    state_rows, lp_rows = [None] * n, [None] * n
+    h, context = None, np.empty(0, dtype=np.int64)
+    for i in range(n - 1, -1, -1) if reverse else range(n):
+        k = int(pack.running[i])
+        # sentences that ended leave the carried state; ones that start join it
+        if k < len(context):
+            h, context = ad.take_rows(h, np.arange(k)), context[:k]
+        elif k > len(context):
+            fresh = ad.tile_rows(h0, k - len(context))
+            h = fresh if h is None else ad.concat([h, fresh], axis=0)
+            context = np.concatenate([context, np.full(k - len(context), BOUNDARY)])
+        rows = np.arange(pack.offsets[i], pack.offsets[i] + k)
+        h, state_rows[i], lp_rows[i] = layer(lambda t: ad.take_rows(t, rows), context, h, [k])
+        context = _label_argmax(lp_rows[i].values)
+    return ad.concat(state_rows, axis=0), ad.concat(lp_rows, axis=0)
 
 
-def decode_backward(
-    enc: Tensor,
-    n: int,
-    params: ModelParameters,
-    mode: Mode,
-    teacher_labels: np.ndarray | None = None,
-):
-    """Right-to-left decoding of the stacked encoder output `enc` (n
-    positions).  With `teacher_labels` (B, N) the context label at each
-    step is the gold next label; otherwise the decoder feeds its own
-    argmax predictions.  Returns (states, log_probs, predictions)."""
-    return _decode(enc, n, params, mode, teacher_labels, params.dec_bw, params.dec_bw_h0,
+def decode_backward(enc: Tensor, pack: Packing, params: ModelParameters, mode: Mode,
+                    teacher_labels: list[np.ndarray] | None = None):
+    """Right-to-left decoding of the encoder output `enc`, packed by
+    `pack`.  With `teacher_labels`, one array per sentence, the context
+    label at each step is the gold next label; otherwise the decoder feeds
+    its own argmax predictions.  Returns the stacked (states, log_probs)."""
+    return _decode(enc, pack, params, mode, teacher_labels, params.dec_bw, params.dec_bw_h0,
                    params.out_bw_w, params.out_bw_b,
                    lambda at, states: [at(enc), states], reverse=True)
 
 
-def decode_forward(
-    enc: Tensor,
-    n: int,
-    bw_states: Tensor,
-    params: ModelParameters,
-    mode: Mode,
-    teacher_labels: np.ndarray | None = None,
-):
+def decode_forward(enc: Tensor, pack: Packing, bw_states: Tensor, params: ModelParameters,
+                   mode: Mode, teacher_labels: list[np.ndarray] | None = None):
     """Left-to-right decoding over encoder states and the right-context
     states produced by `decode_backward`."""
     if bw_states.values.shape[0] != enc.values.shape[0]:
         raise ContractError(
             f"{enc.values.shape[0]} encoder rows but {bw_states.values.shape[0]} backward-state rows"
         )
-    return _decode(enc, n, params, mode, teacher_labels, params.dec_fw, params.dec_fw_h0,
+    return _decode(enc, pack, params, mode, teacher_labels, params.dec_fw, params.dec_fw_h0,
                    params.out_fw_w, params.out_fw_b,
                    lambda at, states: [states, at(enc), at(bw_states)], reverse=False)
 
 
-def combine(log_probs_fw: Tensor, log_probs_bw: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Mean of the two log-probability rows (the log of the geometric mean
-    of the distributions, deliberately unnormalised) and its argmax.  Ties
-    resolve to the lowest label id."""
+def combine(log_probs_fw: Tensor, log_probs_bw: Tensor) -> Tensor:
+    """Mean of the two log-probability rows: the log of the geometric mean
+    of the distributions, deliberately unnormalised."""
     if log_probs_fw.values.shape != log_probs_bw.values.shape:
         raise ContractError(
             f"combine: shapes differ, {log_probs_fw.values.shape} vs {log_probs_bw.values.shape}"
         )
-    combined = ad.scale(ad.add(log_probs_fw, log_probs_bw), 0.5)
-    return combined, np.argmax(combined.values, axis=-1)
+    return ad.scale(ad.add(log_probs_fw, log_probs_bw), 0.5)
 
 
-def predict_batch(params: ModelParameters, batch: list[EncodedSentence]) -> np.ndarray:
-    """Greedy inference: (B, N) combined-argmax label ids."""
+def predict_batch(params: ModelParameters, batch: list[EncodedSentence]) -> list[np.ndarray]:
+    """Greedy inference over sentences of any lengths: the label ids of
+    the combined rows, one array per sentence."""
+    pack = Packing([len(sent) for sent in batch])
     enc = encode(batch, params, EVAL)
-    n = len(batch[0])
-    bw_states, bw_lps, _ = decode_backward(enc, n, params, EVAL)
-    _, fw_lps, _ = decode_forward(enc, n, bw_states, params, EVAL)
-    combined, _ = combine(fw_lps, bw_lps)
-    return _label_argmax(combined.values).reshape(n, len(batch)).T
+    bw_states, bw_lps = decode_backward(enc, pack, params, EVAL)
+    _, fw_lps = decode_forward(enc, pack, bw_states, params, EVAL)
+    return pack.split(_label_argmax(combine(fw_lps, bw_lps).values))

@@ -29,7 +29,6 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -220,44 +219,24 @@ def dual_parameter_groups(params: ModelParameters):
     return group_a, group_b
 
 
-def _teacher_matrix(batch: list[EncodedSentence]) -> np.ndarray:
-    for sent in batch:
-        if sent.label_ids is None:
-            raise ContractError("training batch contains an unlabeled sentence")
-    return np.stack([sent.label_ids for sent in batch])
-
-
-def _group_by_length(sentences: list[EncodedSentence]):
-    groups: dict[int, list[int]] = {}
-    for idx, sent in enumerate(sentences):
-        groups.setdefault(len(sent), []).append(idx)
-    return groups
-
-
 def nll_sums(batch: list[EncodedSentence], params: ModelParameters, mode: m.Mode):
     """Summed gold-label log-probabilities (forward total, backward total)
-    over a batch, teacher-forced; sentences may have mixed lengths."""
-    groups = _group_by_length(batch)
-    fw_parts: list[Tensor] = []
-    bw_parts: list[Tensor] = []
-    for length in sorted(groups):
-        sub = [batch[i] for i in groups[length]]
-        gold = _teacher_matrix(sub)
-        enc = m.encode(sub, params, mode)
-        bw_states, bw_lps, _ = m.decode_backward(enc, length, params, mode, teacher_labels=gold)
-        _, fw_lps, _ = m.decode_forward(enc, length, bw_states, params, mode, teacher_labels=gold)
-        gold_rows = gold.T.reshape(-1)
-        fw_parts.append(ad.tensor_sum(ad.pick(fw_lps, gold_rows)))
-        bw_parts.append(ad.tensor_sum(ad.pick(bw_lps, gold_rows)))
-    return reduce(ad.add, fw_parts), reduce(ad.add, bw_parts)
+    over a batch of sentences of any lengths, teacher-forced, in one pass."""
+    gold = [sent.label_ids for sent in batch]
+    if any(labels is None for labels in gold):
+        raise ContractError("training batch contains an unlabeled sentence")
+    pack = m.Packing([len(sent) for sent in batch])
+    enc = m.encode(batch, params, mode)
+    bw_states, bw_lps = m.decode_backward(enc, pack, params, mode, teacher_labels=gold)
+    _, fw_lps = m.decode_forward(enc, pack, bw_states, params, mode, teacher_labels=gold)
+    gold_rows = pack.gather(gold)
+    return ad.tensor_sum(ad.pick(fw_lps, gold_rows)), ad.tensor_sum(ad.pick(bw_lps, gold_rows))
 
 
 def objective(sentences: list[EncodedSentence], params: ModelParameters,
               mode: m.Mode) -> tuple[Tensor, Tensor]:
     """Tape scalars of one batch: the full log-likelihood objective
     -0.5 * (fw + bw) and the backward-only term -bw.  L2 is not on the tape."""
-    if not sentences:
-        raise ContractError("the objective needs a non-empty batch")
     fw_total, bw_total = nll_sums(sentences, params, mode)
     return ad.scale(ad.add(fw_total, bw_total), -0.5), ad.scale(bw_total, -1.0)
 
@@ -321,16 +300,24 @@ def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mo
 # inference and evaluation
 
 
+# `predict_corpus` tags consecutive sentences in batches of at most this
+# many tokens; a longer sentence runs alone
+PREDICT_TOKENS = 2000
+
+
 def predict_corpus(params: ModelParameters, sentences: list[EncodedSentence]) -> list[np.ndarray]:
-    """Greedy combined predictions per sentence, order-preserving.
-    Equal-length sentences run as one batch."""
-    out: list[np.ndarray] = [None] * len(sentences)
-    groups = _group_by_length(sentences)
-    for length in sorted(groups):
-        idx = groups[length]
-        preds = m.predict_batch(params, [sentences[i] for i in idx])
-        for row, i in enumerate(idx):
-            out[i] = preds[row]
+    """Greedy combined predictions per sentence, order-preserving:
+    consecutive sentences run as one batch of at most `PREDICT_TOKENS`
+    tokens."""
+    out: list[np.ndarray] = []
+    start = tokens = 0
+    for end, sent in enumerate(sentences):
+        if end > start and tokens + len(sent) > PREDICT_TOKENS:
+            out += m.predict_batch(params, sentences[start:end])
+            start, tokens = end, 0
+        tokens += len(sent)
+    if start < len(sentences):
+        out += m.predict_batch(params, sentences[start:])
     return out
 
 
@@ -541,8 +528,8 @@ def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = 
 
 def _micro_fixture(seed: int):
     """Tiny deterministic instance: a mixed-length batch (two 3-token
-    sentences and a 2-token one), 3 labels, words of 1..4 characters,
-    every architectural piece enabled."""
+    sentences and a 2-token one, one pass), 3 labels, words of 1..4
+    characters, every architectural piece enabled."""
     sentences = [
         TaggedSentence(
             tokens=["abcd", "be", "c"],
@@ -569,13 +556,16 @@ def _micro_fixture(seed: int):
 
 
 def gradient_errors(params: ModelParameters, batch: list[EncodedSentence], make_mode,
-                    l2: float = 0.01, h: float = 1e-5) -> dict[str, float]:
+                    l2: float = 0.01, h: float = 1e-5,
+                    tolerance: float = 1e-4) -> dict[str, float]:
     """Max relative error per tensor of the gradients the trainer applies,
     from `step_gradients` in both regimes, against central finite
     differences: the full objective with L2 for every tensor in the single
     regime and for group A in the dual one, the backward-only term for
     group B.  `make_mode()` gives each evaluation its own Mode, so a
-    seeded one repeats its dropout mask."""
+    seeded one repeats its dropout mask.  A central difference of f has
+    roundoff of about eps*|f|/h, so each error is relative to at least
+    eps*max|f|/(h*tolerance), f ranging over both objectives."""
     _, group_b = dual_parameter_groups(params)
     step_gradients(batch, params, make_mode(), l2)
     single = {name: t.grad.copy() for name, t in params.named_tensors()}
@@ -586,11 +576,13 @@ def gradient_errors(params: ModelParameters, batch: list[EncodedSentence], make_
         full, bw_term = objective(batch, params, make_mode())
         return float(full.values) + l2_penalty(params, l2), float(bw_term.values)
 
+    floor = np.finfo(np.float64).eps * max(map(abs, objectives())) / (h * tolerance)
     errors = {}
     for name, tensor in params.named_tensors():
         fd_full, fd_bw = ad.numeric_gradients(objectives, tensor, h=h)
-        errors[name] = max(ad.relative_error(single[name], fd_full),
-                           ad.relative_error(dual[name], fd_bw if name in group_b else fd_full))
+        errors[name] = max(ad.relative_error(single[name], fd_full, floor),
+                           ad.relative_error(dual[name], fd_bw if name in group_b else fd_full,
+                                             floor))
     return errors
 
 
@@ -600,5 +592,5 @@ def run_gradient_check(seed: int = 1, tolerance: float = 1e-4, h: float = 1e-5,
     every error is below `tolerance`."""
     params, batch = _micro_fixture(seed)
     no_dropout = m.Mode(training=True, dropout_p=0.0, rng=None)
-    errors = gradient_errors(params, batch, lambda: no_dropout, l2, h)
+    errors = gradient_errors(params, batch, lambda: no_dropout, l2, h, tolerance)
     return errors, all(err < tolerance for err in errors.values())

@@ -24,7 +24,7 @@ from seqtag.data import (
     token_stream,
 )
 from seqtag.metrics import chunk_f1, concept_error_rate, levenshtein, token_accuracy
-from seqtag.model import combine
+from seqtag.model import LABEL_RESERVED, _label_argmax, combine
 from seqtag.rng import SplitMix64
 from seqtag.serialization import load_model, save_model
 from seqtag.training import (
@@ -165,13 +165,14 @@ def test_criterion_5_combination_rule():
     rng = SplitMix64(43)
     ok = True
     for _ in range(1000):
-        width = 2 + rng.randint(9)
+        # the reserved label ids come first and are never predicted
+        width = LABEL_RESERVED + 2 + rng.randint(9)
         fw = rng.uniform_array((1, width), 1e-6, 1.0)
         bw = rng.uniform_array((1, width), 1e-6, 1.0)
         fw /= fw.sum()
         bw /= bw.sum()
-        _, ids = combine(Tensor(np.log(fw)), Tensor(np.log(bw)))
-        ok = ok and ids[0] == int(np.argmax(fw * bw))
+        ids = _label_argmax(combine(Tensor(np.log(fw)), Tensor(np.log(bw))).values)
+        ok = ok and ids[0] == LABEL_RESERVED + int(np.argmax((fw * bw)[0, LABEL_RESERVED:]))
         if not ok:
             break
     report(5, "geometric-mean combination", ok, "10^3 random row pairs")

@@ -327,21 +327,25 @@ class TestDropout:
 
 class TestBlockSum:
     def test_adds_blocks_in_order(self):
-        x = Tensor(_rand(SplitMix64(59), (5 * 3, 2)))
-        expected = x.values[0:3]
-        for i in range(1, 5):
-            expected = expected + x.values[3 * i:3 * (i + 1)]
-        np.testing.assert_array_equal(ad.block_sum(x, 5).values, expected)
+        x = Tensor(_rand(SplitMix64(59), (11, 2)))
+        running = [3, 3, 2, 2, 1]
+        starts = np.cumsum([0] + running[:-1])
+        expected = x.values[0:3].copy()
+        for lo, k in zip(starts[1:], running[1:]):
+            expected[:k] = expected[:k] + x.values[lo:lo + k]
+        np.testing.assert_array_equal(ad.block_sum(x, running).values, expected)
 
     def test_gradient_matches_finite_differences(self):
         rng = SplitMix64(60)
-        x = Tensor(_rand(rng, (4 * 3,)), requires_grad=True, name="x")
+        x = Tensor(_rand(rng, (8,)), requires_grad=True, name="x")
         w = Tensor(_rand(rng, (3,)))
-        _fd_check(lambda: ad.tensor_sum(ad.mul(ad.block_sum(x, 4), w)), [x])
+        _fd_check(lambda: ad.tensor_sum(ad.mul(ad.block_sum(x, [3, 2, 2, 1]), w)), [x])
 
-    def test_blocks_must_divide_rows(self):
+    # counts that grow, reach zero, or do not sum to the 8 rows
+    @pytest.mark.parametrize("running", [[2, 3, 3], [4, 4, 0], [3, 2, 2]])
+    def test_malformed_running_counts_rejected(self, running):
         with pytest.raises(DimensionError):
-            ad.block_sum(Tensor(np.zeros(5)), 2)
+            ad.block_sum(Tensor(np.zeros((8, 2))), running)
 
 
 class TestGatherOps:

@@ -18,10 +18,13 @@ from seqtag.data import (
 from seqtag.errors import ContractError, DimensionError
 from seqtag.model import (
     EVAL,
+    LABEL_RESERVED,
     BiGru,
     GruCell,
     ModelDims,
     ModelParameters,
+    Packing,
+    _label_argmax,
     combine,
     decode_backward,
     decode_forward,
@@ -56,6 +59,47 @@ def tiny_setup(seed=1, blocks=True, with_feats=False, n_sents=4):
     return params, encode_corpus(sents, vocabs), vocabs
 
 
+def prefix(sent, k):
+    """The first k positions of an encoded sentence."""
+    return type(sent)(
+        tokens=sent.tokens[:k], word_ids=sent.word_ids[:k], char_ids=sent.char_ids[:k],
+        feat_ids=tuple(c[:k] for c in sent.feat_ids),
+        label_ids=None if sent.label_ids is None else sent.label_ids[:k],
+    )
+
+
+def packing(batch):
+    return Packing([len(s) for s in batch])
+
+
+class TestPacking:
+    def test_layout_sorts_longest_first_and_keeps_ties_in_batch_order(self):
+        pack = Packing([2, 4, 1, 4])
+        assert pack.order.tolist() == [1, 3, 0, 2]
+        assert pack.running.tolist() == [4, 3, 2, 2]
+        assert pack.offsets.tolist() == [0, 4, 7, 9]
+        seqs = [np.array([10, 11]), np.array([20, 21, 22, 23]), np.array([30]),
+                np.array([40, 41, 42, 43])]
+        assert pack.gather(seqs).tolist() == [20, 40, 10, 30, 21, 41, 11, 22, 42, 23, 43]
+
+    def test_split_reverses_gather(self):
+        rng = SplitMix64(3)
+        lengths = [3, 1, 5, 3, 2]
+        seqs = [rng.uniform_array((k, 2), -1.0, 1.0) for k in lengths]
+        pack = Packing(lengths)
+        for got, want in zip(pack.split(pack.gather(seqs)), seqs, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("lengths", [[], [2, 0], [[1, 2]]])
+    def test_lengths_must_be_positive(self, lengths):
+        with pytest.raises(ContractError):
+            Packing(lengths)
+
+    def test_entries_must_match_the_lengths(self):
+        with pytest.raises(ContractError):
+            Packing([2, 1]).gather([np.zeros(2), np.zeros(2)])
+
+
 class TestGruCell:
     def _cell(self, seed=3):
         store = m._Store(SplitMix64(seed))
@@ -63,7 +107,7 @@ class TestGruCell:
 
     def test_zero_input_zero_state_zero_biases_gives_zero(self):
         cell = self._cell()
-        out = cell.scan(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))), 1)
+        out = cell.scan(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))), [2])
         np.testing.assert_array_equal(out.values, np.zeros((2, 5)))
 
     def test_state_stays_in_open_unit_interval(self):
@@ -72,12 +116,12 @@ class TestGruCell:
         h = Tensor(np.zeros((1, 5)))
         for _ in range(30):
             x = Tensor(rng.uniform_array((1, 4), -5.0, 5.0))
-            h = cell.scan(x, h, 1)
+            h = cell.scan(x, h, [1])
             assert np.all(np.abs(h.values) < 1.0)
 
     def test_output_width(self):
         cell = self._cell()
-        out = cell.scan(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))), 1)
+        out = cell.scan(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))), [3])
         assert out.values.shape == (3, 5)
 
     def _cell_with_biases(self, seed):
@@ -104,11 +148,11 @@ class TestGruCell:
         n, rows = 4, 3
         x = Tensor(rng.uniform_array((n * rows, 4), -2.0, 2.0))
         h0 = Tensor(rng.uniform_array((rows, 5), -1.0, 1.0))
-        states = cell.scan(x, h0, n, reverse).values
+        states = cell.scan(x, h0, [rows] * n, reverse).values
         h_step = h_ref = h0
         for i in range(n - 1, -1, -1) if reverse else range(n):
             x_i = Tensor(x.values[i * rows:(i + 1) * rows])
-            h_step = cell.scan(x_i, h_step, 1)
+            h_step = cell.scan(x_i, h_step, [rows])
             h_ref = self._op_by_op_step(cell, x_i, h_ref)
             np.testing.assert_array_equal(states[i * rows:(i + 1) * rows], h_step.values)
             np.testing.assert_array_equal(h_step.values, h_ref.values)
@@ -117,42 +161,32 @@ class TestGruCell:
     def test_packed_scan_runs_each_row_over_its_own_length(self, reverse):
         cell, rng = self._cell_with_biases(27)
         lengths = (4, 3, 3, 1)
-        n, rows = max(lengths), len(lengths)
-        running = [sum(length > i for length in lengths) for i in range(n)]
-        x = rng.uniform_array((n, rows, 4), -2.0, 2.0)
-        h0 = rng.uniform_array((rows, 5), -1.0, 1.0)
-        states = cell.scan(Tensor(x.reshape(n * rows, 4)), Tensor(h0), n, reverse,
-                           running).values.reshape(n, rows, 5)
-        # the rows a step skips are never read: NaN there changes no bit
-        padded = x.copy()
-        for b, length in enumerate(lengths):
-            padded[length:, b] = np.nan
-        np.testing.assert_array_equal(
-            cell.scan(Tensor(padded.reshape(n * rows, 4)), Tensor(h0), n, reverse,
-                      running).values.reshape(n, rows, 5), states)
-        for b, length in enumerate(lengths):
-            np.testing.assert_array_equal(states[length:, b], 0.0)
+        pack = Packing(lengths)
+        xs = [rng.uniform_array((k, 4), -2.0, 2.0) for k in lengths]
+        h0 = rng.uniform_array((len(lengths), 5), -1.0, 1.0)
+        states = cell.scan(Tensor(pack.gather(xs)), Tensor(h0), pack.running, reverse)
+        for b, (x, got) in enumerate(zip(xs, pack.split(states.values))):
             # a lone row's products go through gemv, which rounds apart from
             # the GEMM of a stack, so the comparison allows a few ulps
-            alone = cell.scan(Tensor(x[:length, b]), Tensor(h0[b:b + 1]), length, reverse)
-            np.testing.assert_allclose(states[:length, b], alone.values, rtol=0, atol=1e-14)
+            alone = cell.scan(Tensor(x), Tensor(h0[b:b + 1]), [1] * len(x), reverse)
+            np.testing.assert_allclose(got, alone.values, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("running", [[2, 2], [2, 2, 2, -1], [3, 2, 1, 0]])
+    # counts that grow, reach zero, or do not sum to the 8 rows
+    @pytest.mark.parametrize("running", [[2, 3, 3], [4, 4, 0], [3, 2, 2]])
     def test_malformed_running_counts_rejected(self, running):
         cell = self._cell()
         with pytest.raises(DimensionError):
-            cell.scan(Tensor(np.zeros((4 * 2, 4))), Tensor(np.zeros((2, 5))), 4, False, running)
+            cell.scan(Tensor(np.zeros((8, 4))), Tensor(np.zeros((running[0], 5))), running)
 
     def _scan_loss(self, seed, reverse, lengths=None):
         cell, rng = self._cell_with_biases(seed)
-        n, rows = (3, 2) if lengths is None else (max(lengths), len(lengths))
-        running = None if lengths is None else [sum(k > i for k in lengths) for i in range(n)]
-        x = Tensor(rng.uniform_array((n * rows, 4), -1.0, 1.0), requires_grad=True, name="x")
-        h0 = Tensor(rng.uniform_array((rows, 5), -1.0, 1.0), requires_grad=True, name="h0")
-        upstream = Tensor(rng.uniform_array((n * rows, 5), -1.0, 1.0))
+        running = Packing((3, 3) if lengths is None else lengths).running
+        x = Tensor(rng.uniform_array((sum(running), 4), -1.0, 1.0), requires_grad=True, name="x")
+        h0 = Tensor(rng.uniform_array((running[0], 5), -1.0, 1.0), requires_grad=True, name="h0")
+        upstream = Tensor(rng.uniform_array((sum(running), 5), -1.0, 1.0))
 
         def build():
-            return ad.tensor_sum(ad.mul(cell.scan(x, h0, n, reverse, running), upstream))
+            return ad.tensor_sum(ad.mul(cell.scan(x, h0, running, reverse), upstream))
 
         weights = [cell.w_z, cell.w_r, cell.w_h, cell.u_z, cell.u_r, cell.u_h,
                    cell.b_z, cell.b_r, cell.b_h]
@@ -188,8 +222,8 @@ class TestBiGru:
         net.h0_bw.values = net.h0_fw.values.copy()
         rng = SplitMix64(6)
         xs = [rng.uniform_array((1, 3), -1.0, 1.0) for _ in range(5)]
-        fwd = list(net.run(Tensor(np.concatenate(xs)), 5).values.reshape(5, 1, -1))
-        rev = list(net.run(Tensor(np.concatenate(xs[::-1])), 5).values.reshape(5, 1, -1))
+        fwd = list(net.run(Tensor(np.concatenate(xs)), [1] * 5).values.reshape(5, 1, -1))
+        rev = list(net.run(Tensor(np.concatenate(xs[::-1])), [1] * 5).values.reshape(5, 1, -1))
         hid = 4
         swapped = [np.concatenate([v[:, hid:], v[:, :hid]], axis=1) for v in reversed(fwd)]
         for a, b in zip(rev, swapped):
@@ -198,7 +232,7 @@ class TestBiGru:
     def test_output_is_concat_of_directions(self):
         store = m._Store(SplitMix64(8))
         net = BiGru(store, "g", 2, 3)
-        outs = net.run(Tensor(np.ones((3 * 2, 2))), 3)
+        outs = net.run(Tensor(np.ones((3 * 2, 2))), [2, 2, 2])
         assert outs.values.shape == (3 * 2, 6)
 
 
@@ -222,7 +256,7 @@ class TestCharRepresent:
         params, _, vocabs = tiny_setup()
         cid = vocabs.char.lookup("t")
         rep = m._char_position_reps(self._batch([[[cid]]]), params)
-        states = params.char_bigru.run(ad.take_rows(params.char_table, [cid]), 1)
+        states = params.char_bigru.run(ad.take_rows(params.char_table, [cid]), [1])
         expected = ad.tanh(
             ad.add(ad.matmul(states, params.char_ffnn_w), params.char_ffnn_b)
         )
@@ -235,7 +269,8 @@ class TestCharRepresent:
             m._char_position_reps(self._batch([[[t], [t], [t]], [[t], [t], []]]), params)
 
     def test_unused_char_rows_get_zero_gradient(self):
-        # words of different lengths, so the packed stack reads PAD row 0
+        # words of different lengths: the packed stack holds only their
+        # characters, so no other row of the table gets a gradient
         params, _, vocabs = tiny_setup()
         t, e, a = (vocabs.char.lookup(c) for c in "tea")
         batch = self._batch([[[t, e], [a]], [[e], [t, e, a]]])
@@ -268,13 +303,7 @@ class TestCharRepresent:
 class TestEncode:
     def test_single_token_sentence_shape(self):
         params, enc, _ = tiny_setup()
-        one = [s for s in enc if len(s) == 4][0]
-        short = type(one)(
-            tokens=one.tokens[:1], word_ids=one.word_ids[:1],
-            char_ids=one.char_ids[:1], feat_ids=tuple(c[:1] for c in one.feat_ids),
-            label_ids=one.label_ids[:1],
-        )
-        outs = encode([short], params, EVAL)
+        outs = encode([prefix(enc[0], 1)], params, EVAL)
         assert outs.values.shape == (1, params.dims.width)
 
     def test_eval_mode_is_deterministic(self):
@@ -297,15 +326,31 @@ class TestEncode:
         # representation at position 0 must feel the change at position 3
         assert np.max(np.abs(base.values[0] - other.values[0])) > 1e-10
 
-    def test_mixed_lengths_rejected(self):
-        params, enc, _ = tiny_setup()
-        short = type(enc[0])(
-            tokens=enc[0].tokens[:2], word_ids=enc[0].word_ids[:2],
-            char_ids=enc[0].char_ids[:2], feat_ids=tuple(c[:2] for c in enc[0].feat_ids),
-            label_ids=enc[0].label_ids[:2],
-        )
-        with pytest.raises(ContractError):
-            encode([enc[0], short], params, EVAL)
+    @pytest.mark.parametrize("blocks", [True, False])
+    def test_mixed_length_batch_equals_each_sentence_alone(self, blocks):
+        # one pass over sentences of four lengths: the encoder, both
+        # decoders teacher-forced and greedy, and the predictions agree with
+        # each sentence run alone
+        params, enc, _ = tiny_setup(seed=19, blocks=blocks, with_feats=True)
+        batch = [prefix(sent, k) for sent, k in zip(enc, (4, 2, 3, 1))]
+        pack = packing(batch)
+
+        def run(sents, labels):
+            p = packing(sents)
+            outs = encode(sents, params, EVAL)
+            bw_states, bw_lps = decode_backward(outs, p, params, EVAL, teacher_labels=labels)
+            _, fw_lps = decode_forward(outs, p, bw_states, params, EVAL, teacher_labels=labels)
+            return [p.split(t.values) for t in (outs, bw_lps, fw_lps)]
+
+        for labels in ([s.label_ids for s in batch], None):
+            together = run(batch, labels)
+            for b, sent in enumerate(batch):
+                alone = run([sent], None if labels is None else labels[b:b + 1])
+                for rows_together, rows_alone in zip(together, alone, strict=True):
+                    np.testing.assert_allclose(rows_together[b], rows_alone[0], rtol=0, atol=1e-12)
+        assert pack.running.tolist() == [4, 3, 2, 1]
+        for sent, preds in zip(batch, predict_batch(params, batch), strict=True):
+            np.testing.assert_array_equal(preds, predict_batch(params, [sent])[0])
 
     def test_batched_equals_single(self):
         params, enc, _ = tiny_setup()
@@ -333,13 +378,9 @@ class TestEncode:
 class TestDecoders:
     def test_single_position_rows_normalise(self):
         params, enc, _ = tiny_setup()
-        one = type(enc[0])(
-            tokens=enc[0].tokens[:1], word_ids=enc[0].word_ids[:1],
-            char_ids=enc[0].char_ids[:1], feat_ids=tuple(c[:1] for c in enc[0].feat_ids),
-            label_ids=enc[0].label_ids[:1],
-        )
+        one = prefix(enc[0], 1)
         outs = encode([one], params, EVAL)
-        _, lps, _ = decode_backward(outs, 1, params, EVAL)
+        _, lps = decode_backward(outs, packing([one]), params, EVAL)
         assert lps.values.shape[0] == 1
         assert abs(np.exp(lps.values).sum() - 1.0) <= 1e-9
 
@@ -348,13 +389,14 @@ class TestDecoders:
         a = predict_batch(params, enc[:2])
         b = predict_batch(params, enc[:2])
         np.testing.assert_array_equal(a, b)
+        assert [len(row) for row in a] == [len(s) for s in enc[:2]]
 
     def test_every_direction_row_normalises(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:2], params, EVAL)
-        n = len(enc[0])
-        bw_states, bw_lps, _ = decode_backward(outs, n, params, EVAL)
-        _, fw_lps, _ = decode_forward(outs, n, bw_states, params, EVAL)
+        pack = packing(enc[:2])
+        bw_states, bw_lps = decode_backward(outs, pack, params, EVAL)
+        _, fw_lps = decode_forward(outs, pack, bw_states, params, EVAL)
         for lp in (bw_lps, fw_lps):
             sums = np.exp(lp.values).sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -362,32 +404,32 @@ class TestDecoders:
     def test_length_mismatch_rejected(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:1], params, EVAL)
-        n = len(enc[0])
-        bw_states, _, _ = decode_backward(outs, n, params, EVAL)
+        pack = packing(enc[:1])
+        bw_states, _ = decode_backward(outs, pack, params, EVAL)
         with pytest.raises(ContractError):
-            decode_forward(outs, n, Tensor(bw_states.values[:-1]), params, EVAL)
+            decode_forward(outs, pack, Tensor(bw_states.values[:-1]), params, EVAL)
 
     def test_zeroing_backward_rows_of_output_mat_gives_independence(self):
         params, enc, _ = tiny_setup()
         d = params.dims.width
         params.out_fw_w.values[2 * d :, :] = 0.0
         outs = encode(enc[:1], params, EVAL)
-        n = len(enc[0])
-        bw_states, _, _ = decode_backward(outs, n, params, EVAL)
+        pack = packing(enc[:1])
+        bw_states, _ = decode_backward(outs, pack, params, EVAL)
         perturbed = Tensor(bw_states.values + 0.37)
-        _, lps_a, _ = decode_forward(outs, n, bw_states, params, EVAL)
-        _, lps_b, _ = decode_forward(outs, n, perturbed, params, EVAL)
+        _, lps_a = decode_forward(outs, pack, bw_states, params, EVAL)
+        _, lps_b = decode_forward(outs, pack, perturbed, params, EVAL)
         np.testing.assert_array_equal(lps_a.values, lps_b.values)
 
     def test_teacher_forcing_uses_gold_context(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:1], params, EVAL)
-        gold = np.stack([enc[0].label_ids])
-        n = len(enc[0])
-        _, lps_gold, _ = decode_backward(outs, n, params, EVAL, teacher_labels=gold)
-        flipped = gold.copy()
-        flipped[0, -1] = BOUNDARY  # different context for position N-2
-        _, lps_flip, _ = decode_backward(outs, n, params, EVAL, teacher_labels=flipped)
+        gold = [enc[0].label_ids]
+        pack = packing(enc[:1])
+        _, lps_gold = decode_backward(outs, pack, params, EVAL, teacher_labels=gold)
+        flipped = [gold[0].copy()]
+        flipped[0][-1] = BOUNDARY  # different context for position N-2
+        _, lps_flip = decode_backward(outs, pack, params, EVAL, teacher_labels=flipped)
         assert np.max(np.abs(lps_gold.values[-2] - lps_flip.values[-2])) > 1e-12
         # position N-1 sees the boundary context either way
         np.testing.assert_array_equal(lps_gold.values[-1], lps_flip.values[-1])
@@ -397,23 +439,25 @@ class TestDecoders:
         # both modes run one layer body: fed its greedy argmax as gold, a
         # decoder sees the same context labels and gives the same log-probs
         params, enc, _ = tiny_setup(seed=19, blocks=blocks)
-        batch = enc[:3]
+        batch = [prefix(sent, k) for sent, k in zip(enc, (3, 4, 1))]
         outs = encode(batch, params, EVAL)
-        n = len(batch[0])
-        bw_states, bw_lps, bw_preds = decode_backward(outs, n, params, EVAL)
-        _, forced_bw, _ = decode_backward(outs, n, params, EVAL, teacher_labels=bw_preds)
-        _, fw_lps, fw_preds = decode_forward(outs, n, bw_states, params, EVAL)
-        _, forced_fw, _ = decode_forward(outs, n, bw_states, params, EVAL,
-                                         teacher_labels=fw_preds)
+        pack = packing(batch)
+        bw_states, bw_lps = decode_backward(outs, pack, params, EVAL)
+        bw_preds = pack.split(_label_argmax(bw_lps.values))
+        _, forced_bw = decode_backward(outs, pack, params, EVAL, teacher_labels=bw_preds)
+        _, fw_lps = decode_forward(outs, pack, bw_states, params, EVAL)
+        fw_preds = pack.split(_label_argmax(fw_lps.values))
+        _, forced_fw = decode_forward(outs, pack, bw_states, params, EVAL,
+                                      teacher_labels=fw_preds)
         np.testing.assert_allclose(forced_bw.values, bw_lps.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(forced_fw.values, fw_lps.values, rtol=0, atol=1e-12)
 
     def test_bad_label_id_rejected(self):
         params, enc, _ = tiny_setup()
         outs = encode(enc[:1], params, EVAL)
-        bad = np.full((1, len(enc[0])), params.dims.n_labels, dtype=np.int64)
+        bad = [np.full(len(enc[0]), params.dims.n_labels, dtype=np.int64)]
         with pytest.raises(ContractError):
-            decode_backward(outs, len(enc[0]), params, EVAL, teacher_labels=bad)
+            decode_backward(outs, packing(enc[:1]), params, EVAL, teacher_labels=bad)
 
     @pytest.mark.parametrize("blocks", [True, False])
     def test_batched_label_feedback_equals_each_sentence_alone(self, blocks):
@@ -421,45 +465,52 @@ class TestDecoders:
         # scan: the gold label when teacher-forced, its own argmax otherwise
         params, enc, _ = tiny_setup(seed=19, blocks=blocks)
         batch = enc[:3]
-        gold = np.stack([s.label_ids for s in batch])
+        gold = [s.label_ids for s in batch]
 
         def decode(sents, labels):
             outs = encode(sents, params, EVAL)
-            n = len(sents[0])
-            bw_states, bw_lps, bw_preds = decode_backward(outs, n, params, EVAL,
-                                                          teacher_labels=labels)
-            _, fw_lps, fw_preds = decode_forward(outs, n, bw_states, params, EVAL,
-                                                 teacher_labels=labels)
-            return bw_lps, fw_lps, bw_preds, fw_preds
+            pack = packing(sents)
+            bw_states, bw_lps = decode_backward(outs, pack, params, EVAL, teacher_labels=labels)
+            _, fw_lps = decode_forward(outs, pack, bw_states, params, EVAL,
+                                       teacher_labels=labels)
+            return [pack.split(v) for lps in (bw_lps, fw_lps)
+                    for v in (lps.values, _label_argmax(lps.values))]
 
         for labels in (gold, None):
             together = decode(batch, labels)
             for b, sent in enumerate(batch):
                 alone = decode([sent], None if labels is None else labels[b:b + 1])
-                for lps_together, lps_alone in zip(together[:2], alone[:2]):
-                    for i in range(len(sent)):
-                        np.testing.assert_allclose(lps_together.values[i * len(batch) + b],
-                                                   lps_alone.values[i], rtol=0, atol=1e-12)
-                for preds_together, preds_alone in zip(together[2:], alone[2:]):
-                    np.testing.assert_array_equal(preds_together[b], preds_alone[0])
+                for rows_together, rows_alone in zip(together, alone, strict=True):
+                    np.testing.assert_allclose(rows_together[b], rows_alone[0], rtol=0, atol=1e-12)
         greedy = predict_batch(params, batch)
         for b, sent in enumerate(batch):
             np.testing.assert_array_equal(greedy[b], predict_batch(params, [sent])[0])
 
 
+def with_reserved(probs: np.ndarray) -> Tensor:
+    """Log-probability rows over the reserved label ids, which take
+    most of the mass, then the real labels `probs` (rescaled)."""
+    reserved = np.full((probs.shape[0], LABEL_RESERVED), 0.9 / LABEL_RESERVED)
+    return Tensor(np.log(np.concatenate([reserved, 0.1 * probs], axis=1)))
+
+
+def combined_argmax(fw: Tensor, bw: Tensor) -> np.ndarray:
+    return _label_argmax(combine(fw, bw).values)
+
+
 class TestCombine:
     def test_idempotent_on_equal_inputs(self):
-        lp = Tensor(np.log([[0.2, 0.3, 0.5]]))
-        combined, ids = combine(lp, lp)
+        lp = with_reserved(np.array([[0.2, 0.3, 0.5]]))
+        combined = combine(lp, lp)
         np.testing.assert_allclose(combined.values, lp.values, atol=1e-15)
-        assert ids.tolist() == [2]
+        assert combined_argmax(lp, lp).tolist() == [LABEL_RESERVED + 2]
 
     def test_symmetric_tie_resolves_to_lowest_id(self):
-        fw = Tensor(np.log([[0.9, 0.1]]))
-        bw = Tensor(np.log([[0.1, 0.9]]))
-        combined, ids = combine(fw, bw)
-        assert combined.values[0, 0] == pytest.approx(combined.values[0, 1])
-        assert ids.tolist() == [0]
+        fw = with_reserved(np.array([[0.9, 0.1]]))
+        bw = with_reserved(np.array([[0.1, 0.9]]))
+        combined = combine(fw, bw)
+        assert combined.values[0, LABEL_RESERVED] == pytest.approx(combined.values[0, -1])
+        assert combined_argmax(fw, bw).tolist() == [LABEL_RESERVED]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -472,8 +523,8 @@ class TestCombine:
             bw = rng.uniform_array((1, 6), 1e-3, 1.0)
             fw /= fw.sum()
             bw /= bw.sum()
-            _, ids = combine(Tensor(np.log(fw)), Tensor(np.log(bw)))
-            assert ids[0] == int(np.argmax(fw * bw))
+            ids = combined_argmax(with_reserved(fw), with_reserved(bw))
+            assert ids[0] == LABEL_RESERVED + int(np.argmax(fw * bw))
 
     def test_combined_mass_at_most_one(self):
         rng = SplitMix64(14)
@@ -482,7 +533,7 @@ class TestCombine:
             bw = rng.uniform_array((1, 5), 1e-3, 1.0)
             fw /= fw.sum()
             bw /= bw.sum()
-            combined, _ = combine(Tensor(np.log(fw)), Tensor(np.log(bw)))
+            combined = combine(Tensor(np.log(fw)), Tensor(np.log(bw)))
             assert np.exp(combined.values).sum() <= 1.0 + 1e-9
 
 
@@ -493,9 +544,10 @@ class TestAgainstOracle:
         sent = enc[0]
 
         outs = encode([sent], params, EVAL)
-        bw_states, bw_lps, bw_preds = decode_backward(outs, len(sent), params, EVAL)
-        _, fw_lps, _ = decode_forward(outs, len(sent), bw_states, params, EVAL)
-        combined, _ = combine(fw_lps, bw_lps)
+        pack = packing([sent])
+        bw_states, bw_lps = decode_backward(outs, pack, params, EVAL)
+        _, fw_lps = decode_forward(outs, pack, bw_states, params, EVAL)
+        combined = combine(fw_lps, bw_lps)
 
         preds = predict_batch(params, [sent])
         fw_o, bw_o, comb_o, pred_o = oracle.full_forward(values, sent, blocks=blocks)
@@ -503,7 +555,7 @@ class TestAgainstOracle:
             np.testing.assert_allclose(bw_lps.values[i], bw_o[i], atol=1e-10)
             np.testing.assert_allclose(fw_lps.values[i], fw_o[i], atol=1e-10)
             np.testing.assert_allclose(combined.values[i], comb_o[i], atol=1e-10)
-            assert preds[0, i] == pred_o[i]
+            assert preds[0][i] == pred_o[i]
 
     def test_full_pipeline_matches_oracle_with_blocks(self):
         self._compare(blocks=True)
@@ -515,11 +567,11 @@ class TestAgainstOracle:
         params, enc, _ = tiny_setup(seed=13)
         values = {name: t.values for name, t in params.named_tensors()}
         sent = enc[0]
-        gold = np.stack([sent.label_ids])
+        gold = [sent.label_ids]
         outs = encode([sent], params, EVAL)
-        bw_states, bw_lps, _ = decode_backward(outs, len(sent), params, EVAL, teacher_labels=gold)
-        _, fw_lps, _ = decode_forward(outs, len(sent), bw_states, params, EVAL,
-                                      teacher_labels=gold)
+        pack = packing([sent])
+        bw_states, bw_lps = decode_backward(outs, pack, params, EVAL, teacher_labels=gold)
+        _, fw_lps = decode_forward(outs, pack, bw_states, params, EVAL, teacher_labels=gold)
         fw_o, bw_o, _, _ = oracle.full_forward(
             values, sent, gold=[int(g) for g in sent.label_ids]
         )

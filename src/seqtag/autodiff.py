@@ -4,7 +4,9 @@ Tensors are thin wrappers around float64 arrays.  While a `Tape` is
 active, every operation whose inputs require gradients appends one entry
 (output, inputs, backward rule) in execution order, so the tape is
 already topologically sorted; `backward` walks it once in reverse,
-skipping what leads to no leaf that wants a gradient.
+skipping what leads to no leaf that wants a gradient.  A rule is told
+which of its inputs are wanted (`rule(g, want)`, one flag per input, as
+`ctx.needs_input_grad` in PyTorch) and forms only their gradients.
 Without an active tape the same functions compute values only, which is
 how inference runs.
 
@@ -21,6 +23,7 @@ bias to each row of a 2-D tensor — nothing else in the model needs one.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import threading
 from contextlib import contextmanager
@@ -32,6 +35,28 @@ from .rng import SplitMix64
 
 _ids = itertools.count()
 _tls = threading.local()
+
+
+def _keep_freed_memory() -> bool:
+    """Have glibc's allocator keep what the process frees for its next
+    allocations, so that a training step reuses the pages the step before
+    it freed instead of faulting in fresh ones: blocks up to the 32 MiB
+    ceiling come from the heap rather than from one mapping each, and the
+    heap is never trimmed.  Larger arrays are still mapped per allocation.
+    Returns whether both settings took effect; without glibc's `mallopt`
+    nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    # a trim threshold of -1 is the largest size_t: never trim
+    return bool(mallopt(m_mmap_threshold, 32 << 20)) and bool(mallopt(m_trim_threshold, -1))
+
+
+_FREED_MEMORY_KEPT = _keep_freed_memory()
 
 # Verification hook: scales every tanh derivative (the `tanh` op and the
 # GRU candidate in `gru_scan`) so the gradient checker can prove it
@@ -124,7 +149,14 @@ def backward(loss: Tensor) -> None:
     depends on a leaf that still wants its gradient, and the reverse walk
     runs the backward rules of those entries only.  Every consumer of a
     marked tensor is marked, so each wanted gradient receives the same
-    contributions in the same order as in an unpruned walk."""
+    contributions in the same order as in an unpruned walk.
+
+    A rule is called as `rule(g, want)`, `want` holding one flag per
+    input: whether it is a wanted leaf or a marked tensor.  At least one
+    is set, so a rule of one input always has it wanted.  A rule returns
+    None for each unwanted input and skips every product only that input
+    needs; a wanted gradient is the same, byte for byte, whatever else is
+    wanted.  None for a wanted input means the rule wrote it itself."""
     if loss.values.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     tape = loss.tape
@@ -145,8 +177,9 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(out.node_id, None)
         if g is None:
             continue
-        for tensor, gi in zip(inputs, back_fn(g)):
-            if gi is None or not wanted(tensor):
+        want = tuple(map(wanted, inputs))
+        for tensor, w, gi in zip(inputs, want, back_fn(g, want)):
+            if gi is None or not w:
                 continue
             if tensor.tape is None:
                 grad = tensor.grad_to_write()
@@ -164,25 +197,28 @@ def backward(loss: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.shape == bv.shape:
-        return _emit(av + bv, (a, b), lambda g: (g, g))
+        return _emit(av + bv, (a, b), lambda g, want: (g if want[0] else None,
+                                                       g if want[1] else None))
     if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        return _emit(av + bv, (a, b), lambda g: (g, g.sum(axis=0)))
+        return _emit(av + bv, (a, b), lambda g, want: (g if want[0] else None,
+                                                       g.sum(axis=0) if want[1] else None))
     raise DimensionError(f"add: incompatible shapes {av.shape} and {bv.shape}")
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _emit(a.values + c, (a,), lambda g: (g,))
+    return _emit(a.values + c, (a,), lambda g, want: (g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise DimensionError(f"mul: incompatible shapes {a.values.shape} and {b.values.shape}")
     av, bv = a.values, b.values
-    return _emit(av * bv, (a, b), lambda g: (g * bv, g * av))
+    return _emit(av * bv, (a, b), lambda g, want: (g * bv if want[0] else None,
+                                                   g * av if want[1] else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return _emit(a.values * c, (a,), lambda g: (g * c,))
+    return _emit(a.values * c, (a,), lambda g, want: (g * c,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -194,17 +230,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.values)
-    return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return _emit(out, (a,), lambda g, want: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
-    return _emit(out, (a,), lambda g: (g * (1.0 - out * out) * _tanh_backward_scale,))
+    return _emit(out, (a,), lambda g, want: (g * (1.0 - out * out) * _tanh_backward_scale,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
-    return _emit(a.values * mask, (a,), lambda g: (g * mask,))
+    return _emit(a.values * mask, (a,), lambda g, want: (g * mask,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -214,7 +250,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs 2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree, {av.shape} vs {bv.shape}")
-    return _emit(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    return _emit(av @ bv, (a, b), lambda g, want: (g @ bv.T if want[0] else None,
+                                                   av.T @ g if want[1] else None))
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -239,13 +276,17 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
             )
     cuts = np.cumsum([shape[axis] for shape in shapes[:-1]])
     return _emit(np.concatenate([p.values for p in parts], axis=axis), tuple(parts),
-                 lambda g: tuple(np.split(g, cuts, axis=axis)))
+                 lambda g, want: tuple(gi if w else None
+                                       for gi, w in zip(np.split(g, cuts, axis=axis), want)))
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor; duplicate ids accumulate on backward.
     A leaf source (an embedding table) receives its gradient rows straight
-    into `.grad`, so no table-sized array is built beyond `.grad` itself."""
+    into `.grad`, so no table-sized array is built beyond `.grad` itself.
+    Into an intermediate source, ids checked to be unique (a permutation)
+    are assigned rather than accumulated: the same bytes, without
+    `np.add.at`."""
     idx = np.asarray(ids, dtype=np.int64)
     tv = table.values
     if tv.ndim != 2:
@@ -253,12 +294,15 @@ def take_rows(table: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= tv.shape[0]):
         raise ContractError(f"take_rows: id out of range 0..{tv.shape[0] - 1}: {int(idx.max())}")
 
-    def back(g):
+    def back(g, want):
         if table.tape is None:
             np.add.at(table.grad_to_write(), idx, g)
             return (None,)
         gt = np.zeros_like(tv)
-        np.add.at(gt, idx, g)
+        if np.bincount(idx, minlength=tv.shape[0]).max(initial=0) <= 1:
+            gt[idx] = g
+        else:
+            np.add.at(gt, idx, g)
         return (gt,)
 
     return _emit(tv[idx], (table,), back)
@@ -274,7 +318,7 @@ def pick(x: Tensor, ids) -> Tensor:
         raise ContractError(f"pick: column id out of range 0..{xv.shape[1] - 1}: {int(idx.max())}")
     rows = np.arange(xv.shape[0])
 
-    def back(g):
+    def back(g, want):
         gx = np.zeros_like(xv)
         np.add.at(gx, (rows, idx), g)
         return (gx,)
@@ -286,12 +330,12 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
     """Broadcast a 1-D tensor to n identical rows."""
     if v.values.ndim != 1:
         raise DimensionError(f"tile_rows needs a 1-D tensor, got shape {v.values.shape}")
-    return _emit(np.tile(v.values, (n, 1)), (v,), lambda g: (g.sum(axis=0),))
+    return _emit(np.tile(v.values, (n, 1)), (v,), lambda g, want: (g.sum(axis=0),))
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     av = a.values
-    return _emit(np.asarray(av.sum()), (a,), lambda g: (np.broadcast_to(g, av.shape),))
+    return _emit(np.asarray(av.sum()), (a,), lambda g, want: (np.broadcast_to(g, av.shape),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -305,7 +349,7 @@ def log_softmax(x: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
 
-    def back(g):
+    def back(g, want):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _emit(out, (x,), back)
@@ -330,16 +374,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centred * inv_std
     gv = gain.values
 
-    def back(g):
-        dgain = (g * xhat).sum(axis=0) if g.ndim == 2 else g * xhat
-        dbias = g.sum(axis=0) if g.ndim == 2 else g
-        dxhat = g * gv
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return (dx, np.asarray(dgain), np.asarray(dbias))
+    def back(g, want):
+        dx = dgain = dbias = None
+        if want[0]:
+            dxhat = g * gv
+            dx = inv_std * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+        if want[1]:
+            dgain = np.asarray((g * xhat).sum(axis=0) if g.ndim == 2 else g * xhat)
+        if want[2]:
+            dbias = np.asarray(g.sum(axis=0) if g.ndim == 2 else g)
+        return (dx, dgain, dbias)
 
     return _emit(xhat * gv + bias.values, (x, gain, bias), back)
 
@@ -363,7 +411,7 @@ def block_sum(x: Tensor, running) -> Tensor:
     out = xv[:steps[0][2]].copy()
     for lo, hi, k in steps[1:]:
         out[:k] += xv[lo:hi]
-    return _emit(out, (x,), lambda g: (np.concatenate([g[:k] for _, _, k in steps]),))
+    return _emit(out, (x,), lambda g, want: (np.concatenate([g[:k] for _, _, k in steps]),))
 
 
 def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
@@ -412,7 +460,7 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
         c = cands[lo:hi] = np.tanh((xw_h[lo:hi] + (r * hk) @ u_h) + b_h)
         h[:k] = states[lo:hi] = (1.0 - z) * hk + z * c
 
-    def back(g):
+    def back(g, want):
         da = np.empty((rows, 3 * hid))
         u_zr = np.concatenate([u_z, u_r], axis=1)
         dh = np.zeros((bsz, hid))
@@ -425,14 +473,21 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
             da[lo:hi, hid:2 * hid] = drh * hp * r * (1.0 - r)
             da[lo:hi, 2 * hid:] = dc
             dh[:k] = dhk * (1.0 - z) + drh * r + da[lo:hi, :2 * hid] @ u_zr.T
-        dx = da @ np.concatenate([t.values for t in w], axis=1).T
-        dw = xv.T @ da
-        du_zr = prev.T @ da[:, :2 * hid]
-        du_h = (rs * prev).T @ da[:, 2 * hid:]
-        db = da.sum(axis=0)
-        parts = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
-        return (dx, dh, *(dw[:, k] for k in parts), du_zr[:, :hid], du_zr[:, hid:], du_h,
-                *(db[k] for k in parts))
+        thirds = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
+
+        def gates(wants, form):
+            # the per-gate column blocks of one product, formed if any is wanted
+            if not any(wants):
+                return [None] * len(wants)
+            full = form()
+            return [full[..., k] if wk else None for k, wk in zip(thirds, wants)]
+
+        dx = da @ np.concatenate([t.values for t in w], axis=1).T if want[0] else None
+        return (dx, dh if want[1] else None,
+                *gates(want[2:5], lambda: xv.T @ da),
+                *gates(want[5:7], lambda: prev.T @ da[:, :2 * hid]),
+                (rs * prev).T @ da[:, 2 * hid:] if want[7] else None,
+                *gates(want[8:], lambda: da.sum(axis=0)))
 
     return _emit(states, (x, h0, *w, *u, *b), back)
 
@@ -448,7 +503,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None) -> Tens
     if rng is None:
         raise ContractError("training-mode dropout needs a generator")
     factor = (rng.floats(x.values.size) >= p).reshape(x.values.shape) / (1.0 - p)
-    return _emit(x.values * factor, (x,), lambda g: (g * factor,))
+    return _emit(x.values * factor, (x,), lambda g, want: (g * factor,))
 
 
 @contextmanager

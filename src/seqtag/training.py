@@ -381,6 +381,10 @@ def _format_epoch(epoch: int, train_loss: float, report: EvalReport, seconds: fl
     )
 
 
+# a diverging run overflows long before its loss is checked; every
+# non-finite value it can produce ends in a named NumericError (the loss
+# check, `log_softmax`, `Adam.grad_norm`), so numpy's warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def train(corpus: Corpus, config: TrainingConfig, vocabs: VocabSet | None = None) -> TrainResult:
     """Train on `corpus.train`, select the best epoch on `corpus.dev`.
     `config.regime` picks the optimizers: "single" steps every parameter

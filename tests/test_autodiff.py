@@ -386,6 +386,93 @@ class TestGatherOps:
         np.testing.assert_array_equal(v.grad, [4.0, 4.0])
 
 
+def _wanted_subsets(n):
+    """Every `want` that `backward` can pass a rule of n inputs: at least
+    one input is wanted."""
+    return [tuple(bool(mask >> i & 1) for i in range(n)) for mask in range(1, 1 << n)]
+
+
+class TestWantedInputs:
+    """A rule forms the gradients of the inputs it is told are wanted, each
+    the same bytes as when every input is wanted, and None for the rest."""
+
+    @staticmethod
+    def _leaves(rng, *shapes):
+        return [Tensor(_rand(rng, shape), requires_grad=True) for shape in shapes]
+
+    @staticmethod
+    def _check(rng, build):
+        with Tape() as tape:
+            out = build()
+        _, inputs, back = tape.entries[-1]
+        g = _rand(rng, out.values.shape)
+        every = back(g, (True,) * len(inputs))
+        assert len(every) == len(inputs)
+        for want in _wanted_subsets(len(inputs)):
+            got = back(g, want)
+            assert len(got) == len(inputs)
+            for i, (w, gi, full) in enumerate(zip(want, got, every)):
+                if w:
+                    assert gi.tobytes() == full.tobytes(), (want, i)
+                else:
+                    assert gi is None, (want, i)
+
+    def test_matmul(self):
+        rng = SplitMix64(61)
+        a, b = self._leaves(rng, (4, 3), (3, 5))
+        self._check(rng, lambda: ad.matmul(a, b))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_gru_scan(self, reverse):
+        rng = SplitMix64(67)
+        running, dim, hid = [3, 3, 2, 1], 4, 3
+        x, h0 = self._leaves(rng, (sum(running), dim), (running[0], hid))
+        w = self._leaves(rng, *[(dim, hid)] * 3)
+        u = self._leaves(rng, *[(hid, hid)] * 3)
+        b = self._leaves(rng, *[(hid,)] * 3)
+        self._check(rng, lambda: ad.gru_scan(x, h0, w, u, b, running, reverse))
+
+    @pytest.mark.parametrize("rows", [(4, 5), (5,)])
+    def test_layer_norm(self, rows):
+        rng = SplitMix64(71)
+        x, gain, bias = self._leaves(rng, rows, (5,), (5,))
+        self._check(rng, lambda: ad.layer_norm(x, gain, bias))
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (3,)), ((4, 3), (4, 3))], ids=["bias", "same"])
+    def test_add(self, shapes):
+        rng = SplitMix64(73)
+        a, b = self._leaves(rng, *shapes)
+        self._check(rng, lambda: ad.add(a, b))
+
+    def test_mul_and_concat(self):
+        rng = SplitMix64(79)
+        a, b, c = self._leaves(rng, (2, 3), (2, 3), (2, 2))
+        self._check(rng, lambda: ad.mul(a, b))
+        self._check(rng, lambda: ad.concat([a, b, c]))
+
+    @pytest.mark.parametrize("ids", [[2, 0, 2, 1], [3, 0, 1, 2]], ids=["repeated", "permutation"])
+    def test_take_rows(self, ids):
+        # whether ids repeat or not, every source gets the bytes of
+        # accumulating each row into zeros; a leaf table receives them in
+        # `.grad`, and the rule returns None
+        rng = SplitMix64(83)
+        table, = self._leaves(rng, (4, 3))
+        g = _rand(rng, (len(ids), 3))
+        accumulated = np.zeros((4, 3))
+        np.add.at(accumulated, ids, g)
+        for computed in (True, False):
+            with Tape() as tape:
+                ad.take_rows(ad.scale(table, 2.0) if computed else table, ids)
+            got, = tape.entries[-1][2](g, (True,))
+            assert (table.grad if got is None else got).tobytes() == accumulated.tobytes()
+        self._check(rng, lambda: ad.take_rows(ad.scale(table, 2.0), ids))
+
+    def test_tile_rows(self):
+        rng = SplitMix64(89)
+        v, = self._leaves(rng, (3,))
+        self._check(rng, lambda: ad.tile_rows(v, 4))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -453,9 +540,9 @@ class TestBackward:
         called = set()
 
         def recorded(out, fn):
-            def back(g):
+            def back(g, want):
                 called.add(out.node_id)
-                return fn(g)
+                return fn(g, want)
             return back
 
         with Tape() as tape:

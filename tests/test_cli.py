@@ -135,6 +135,22 @@ class TestTrain:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_diverging_run_exits_one_with_one_error_line(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "train",
+            "--train", str(corpus_dir / "train.conll"),
+            "--dev", str(corpus_dir / "dev.conll"),
+            "--model-out", str(out / "model.bin"),
+            *TRAIN_FLAGS, "--lr", "1e300",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seqtag train: diverged at epoch 1 step 1: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(out.iterdir()) == []
+
     def test_model_file_exists_and_reloads(self, trained):
         _, model = trained
         assert model.is_file()

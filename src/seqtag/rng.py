@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import lanes
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -33,6 +35,32 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _draw(out: np.ndarray, state: int, bounds: tuple[float, float] | None):
+    """Fill the 1-D `out` with the floats that follow `state`, one block
+    at a time, each scaled to `bounds` (lo, hi) while it is in cache."""
+    n = out.size
+    z = np.empty(min(n, _BLOCK), dtype=np.uint64)
+    shifted = np.empty_like(z)
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        zb, sb = z[:size], shifted[:size]
+        np.add(_STEPS[:size], np.uint64(state), out=zb)
+        state = (state + size * _GAMMA) & _MASK
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zb, np.uint64(shift), out=sb)
+            zb ^= sb
+            zb *= np.uint64(mult)
+        np.right_shift(zb, np.uint64(31), out=sb)
+        zb ^= sb
+        zb >>= np.uint64(11)
+        block = out[start:start + size]
+        np.multiply(zb, 2.0**-53, out=block)
+        if bounds is not None:
+            lo, hi = bounds
+            block *= hi - lo
+            block += lo
+
+
 class SplitMix64:
     """Seedable generator; `fork` derives an independent child stream."""
 
@@ -47,45 +75,37 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def floats(self, n: int) -> np.ndarray:
-        """Vectorised batch of `n` floats, identical to n next_float calls."""
+        """Vectorised batch of `n` floats, identical to n next_float calls.
+        A draw longer than one block is split over two lanes (see
+        `lanes`): the state is a counter, so the value at offset o of the
+        draw comes from state s + (o + 1) * gamma wherever it is drawn."""
         out = np.empty(n, dtype=np.float64)
-        for _ in self._fill(out):
-            pass
+        self._fill(out)
         return out
-
-    def _fill(self, out: np.ndarray):
-        """Fill the 1-D `out` with the next out.size floats, one block at
-        a time, yielding each block as soon as it is filled."""
-        n = out.size
-        z = np.empty(min(n, _BLOCK), dtype=np.uint64)
-        shifted = np.empty_like(z)
-        for start in range(0, n, _BLOCK):
-            size = min(_BLOCK, n - start)
-            zb, sb = z[:size], shifted[:size]
-            np.add(_STEPS[:size], np.uint64(self._state), out=zb)
-            self._state = (self._state + size * _GAMMA) & _MASK
-            for shift, mult in ((30, _MIX1), (27, _MIX2)):
-                np.right_shift(zb, np.uint64(shift), out=sb)
-                zb ^= sb
-                zb *= np.uint64(mult)
-            np.right_shift(zb, np.uint64(31), out=sb)
-            zb ^= sb
-            zb >>= np.uint64(11)
-            block = out[start:start + size]
-            np.multiply(zb, 2.0**-53, out=block)
-            yield block
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
-        """`floats` scaled to [lo, hi), each block scaled while in cache."""
+        """`floats` scaled to [lo, hi), each block scaled while in cache,
+        on two lanes as `floats` is."""
         n = int(np.prod(shape)) if shape else 1
         values = np.empty(n, dtype=np.float64)
-        for block in self._fill(values):
-            block *= hi - lo
-            block += lo
+        self._fill(values, (lo, hi))
         return values.reshape(shape)
+
+    def _fill(self, out: np.ndarray, bounds: tuple[float, float] | None = None):
+        """Fill the 1-D `out` with the next out.size floats, scaled to
+        `bounds` when given, the second half on a helper lane when the
+        draw is longer than one block."""
+        n, state = out.size, self._state
+        self._state = (state + n * _GAMMA) & _MASK
+        if not lanes.two_lanes(n > _BLOCK):
+            _draw(out, state, bounds)
+            return
+        half = n // 2
+        lanes.pair(lambda: _draw(out[:half], state, bounds),
+                   lambda: _draw(out[half:], (state + half * _GAMMA) & _MASK, bounds))
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""

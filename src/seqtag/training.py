@@ -24,7 +24,6 @@ both use it.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import lanes
 from . import model as m
 from .autodiff import Tape, Tensor, backward
 from .data import (
@@ -108,28 +108,13 @@ class Corpus:
     test: list[TaggedSentence] = field(default_factory=list)
 
 
-# Whole-parameter passes (the L2 gradient and the Adam update) run over
-# row blocks of at most this many entries, so that the operands of one
-# chain of elementwise operations stay in cache from one operation to the
-# next.  Elementwise results do not depend on the blocking.
-_BLOCK = 1 << 15
-
-
-def _block_rows(shape) -> list[slice] | None:
-    """Row slices of an array of `shape`, each holding at most `_BLOCK`
-    entries, or one row when a row is wider; None when the whole array
-    fits in one block."""
-    size = math.prod(shape)
-    if size <= _BLOCK:
-        return None
-    step = max(1, _BLOCK // (size // shape[0]))
-    return [slice(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
-
-
 class Adam:
     """Adaptive-moment gradient steps over one named parameter group, with
     optional global-norm clipping.  Step counts start at zero.  `group`
-    names the group in errors."""
+    names the group in errors.  The norm and the update run on two lanes
+    when a tensor is larger than `lanes.BLOCK` (see `lanes`): the norm
+    squares whole tensors, each lane into its own area, and the update
+    runs row blocks through two block-sized work areas per lane."""
 
     def __init__(self, tensors: list[Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None,
@@ -144,30 +129,40 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros(t.values.shape) for t in tensors]
         self._v = [np.zeros(t.values.shape) for t in tensors]
-        # `grad_norm` squares each gradient whole, into one tensor-sized area
-        squares = np.empty(max((t.values.size for t in tensors), default=0))
-        self._squares = [squares[:t.values.size].reshape(t.values.shape) for t in tensors]
-        # `step` runs block by block through two block-sized work areas:
-        # `_work[i]` lists, per block of tensor i, its rows (None for a
-        # tensor that fits in one block) and the two areas in its shape
-        blocks = [[(rows, t.values.shape if rows is None else t.values[rows].shape)
-                   for rows in _block_rows(t.values.shape) or [None]] for t in tensors]
-        widest = max((math.prod(shape) for per in blocks for _, shape in per), default=0)
-        work = np.empty(2 * widest)
-
-        def area(start, shape):
-            return work[start:start + math.prod(shape)].reshape(shape)
-
-        self._work = [[(rows, area(0, shape), area(widest, shape)) for rows, shape in per]
-                      for per in blocks]
+        self._sizes = [t.values.size for t in tensors]
+        self._blocked = lanes.blocked(self._sizes)
+        # `_squares[lane]`: where the norm squares the tensors that lane
+        # runs, made by the first `grad_norm`, after a backward pass has
+        # freed the memory the step's activations held
+        self._squares = None
+        # `step` runs row blocks, each through two block-sized work areas
+        # of its lane
+        self._pieces = lanes.row_blocks([t.values.shape for t in tensors])
+        self._piece_sizes = [size for *_, size in self._pieces]
+        widest = max(self._piece_sizes, default=0)
+        self._work = [(np.empty(widest), np.empty(widest))
+                      for _ in range(2 if self._blocked else 1)]
         self._norm = None
 
     def grad_norm(self) -> float:
-        """Global L2 norm of the group's `.grad`, kept for the next `step`.
-        A non-finite norm raises NumericError naming the group, so a
-        caller can check every group before any of them steps."""
-        total = np.sqrt(sum(float(np.multiply(t.grad, t.grad, out=sq).sum())
-                            for t, sq in zip(self.tensors, self._squares)))
+        """Global L2 norm of the group's `.grad`, kept for the next `step`:
+        one sum per tensor, added in tensor order.  A non-finite norm
+        raises NumericError naming the group, so a caller can check every
+        group before any of them steps."""
+        grads = [t.grad for t in self.tensors]
+        if self._squares is None:
+            # lane 0 runs every tensor when the pass does not split, lane 1
+            # the tensors from the cut `lanes.run` makes on
+            rest = self._sizes[lanes.cut(self._sizes):] if self._blocked else []
+            self._squares = [np.empty(max(self._sizes, default=0)),
+                             np.empty(max(rest, default=0))]
+
+        def sums(lo, hi, lane):
+            area = self._squares[lane]
+            return [float(np.multiply(g, g, out=area[:g.size].reshape(g.shape)).sum())
+                    for g in grads[lo:hi]]
+
+        total = np.sqrt(sum(lanes.run(sums, self._sizes, self._blocked)))
         if not np.isfinite(total):
             raise NumericError(f"gradient norm of group {self.group} is {total}")
         self._norm = total
@@ -184,12 +179,17 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
+
         # m += (1-b1)(g - m); v += (1-b2)(g*g - v);
         # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time
-        for t, mom, vel, work in zip(self.tensors, self._m, self._v, self._work):
-            for rows, a, b in work:
+        def update(lo, hi, lane):
+            work_a, work_b = self._work[lane]
+            for i, rows, size in self._pieces[lo:hi]:
+                t, mom, vel = self.tensors[i], self._m[i], self._v[i]
                 grad, theta, m, v = ((t.grad, t.values, mom, vel) if rows is None
                                      else (t.grad[rows], t.values[rows], mom[rows], vel[rows]))
+                a = work_a[:size].reshape(theta.shape)
+                b = work_b[:size].reshape(theta.shape)
                 g = grad if factor == 1.0 else np.multiply(grad, factor, out=a)
                 np.subtract(g, m, out=b)
                 b *= 1.0 - self.beta1
@@ -205,6 +205,9 @@ class Adam:
                 b += self.eps
                 a /= b
                 theta -= a
+            return []
+
+        lanes.run(update, self._piece_sizes, self._blocked)
 
 
 def dual_parameter_groups(params: ModelParameters):
@@ -245,7 +248,13 @@ def l2_penalty(params: ModelParameters, coefficient: float) -> float:
     """(coefficient / 2) * sum |theta|^2 over every parameter, in numpy."""
     if coefficient == 0.0:
         return 0.0
-    total = sum(float(np.vdot(t.values, t.values)) for _, t in params.named_tensors())
+    values = [t.values for _, t in params.named_tensors()]
+    sizes = [v.size for v in values]
+
+    def sums(lo, hi, lane):
+        return [float(np.vdot(v, v)) for v in values[lo:hi]]
+
+    total = sum(lanes.run(sums, sizes, lanes.blocked(sizes)))
     return 0.5 * coefficient * total
 
 
@@ -289,10 +298,17 @@ def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mo
             # the step's activations now, not at the next cyclic collection
             tape.entries.clear()
     if l2 != 0.0:
-        for t in a_tensors:
-            for rows in _block_rows(t.values.shape) or [slice(None)]:
-                grad = t.grad[rows]
-                grad += l2 * t.values[rows]
+        pieces = lanes.row_blocks([t.values.shape for t in a_tensors])
+
+        def add_l2(lo, hi, lane):
+            for i, rows, _ in pieces[lo:hi]:
+                rows = slice(None) if rows is None else rows
+                grad = a_tensors[i].grad[rows]
+                grad += l2 * a_tensors[i].values[rows]
+            return []
+
+        lanes.run(add_l2, [size for *_, size in pieces],
+                  lanes.blocked([t.values.size for t in a_tensors]))
     return value
 
 
@@ -511,7 +527,11 @@ def multi_run(corpus: Corpus, config: TrainingConfig, seeds: list[int] | None = 
     jobs = [(corpus, config, seed, output)
             for seed, output in zip(seeds, outputs or [None] * len(seeds), strict=True)]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the workers share the CPUs: each splits a pass over two lanes
+        # only when it has two CPUs of its own
+        workers = min(config.jobs, len(jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=lanes.share_cpus,
+                                 initargs=(workers,)) as pool:
             reports = list(pool.map(_one_run, jobs))
     else:
         reports = [_one_run(job) for job in jobs]

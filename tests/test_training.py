@@ -24,7 +24,7 @@ from seqtag.data import (
     make_synthetic_corpus,
     stream_chunks,
 )
-from seqtag import training
+from seqtag import lanes, training
 from seqtag.errors import (
     ConfigError,
     ContractError,
@@ -257,7 +257,7 @@ class TestAdam:
         rng = SplitMix64(21)
         # the last shape spans more than one update block, and not a whole number of them
         tensors = [ad.Tensor(rng.uniform_array(shape, -1.0, 1.0), requires_grad=True)
-                   for shape in ((3, 4), (5,), (2, 2), (training._BLOCK // 64 + 3, 64))]
+                   for shape in ((3, 4), (5,), (2, 2), (lanes.BLOCK // 64 + 3, 64))]
         ref_values = [t.values.copy() for t in tensors]
         ref_m = [np.zeros_like(v) for v in ref_values]
         ref_v = [np.zeros_like(v) for v in ref_values]

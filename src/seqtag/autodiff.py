@@ -30,6 +30,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import lanes
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .rng import SplitMix64
 
@@ -43,17 +44,19 @@ def _keep_freed_memory() -> bool:
     it freed instead of faulting in fresh ones: blocks up to the 32 MiB
     ceiling come from the heap rather than from one mapping each, and the
     heap is never trimmed.  Larger arrays are still mapped per allocation.
-    Returns whether both settings took effect; without glibc's `mallopt`
-    nothing changes."""
+    Every thread allocates from that one heap, so the helper lane (see
+    `lanes`) holds no arena of its own.  Returns whether the settings took
+    effect; without glibc's `mallopt` nothing changes."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
     # a trim threshold of -1 is the largest size_t: never trim
-    return bool(mallopt(m_mmap_threshold, 32 << 20)) and bool(mallopt(m_trim_threshold, -1))
+    return (bool(mallopt(m_mmap_threshold, 32 << 20)) and bool(mallopt(m_trim_threshold, -1))
+            and bool(mallopt(m_arena_max, 1)))
 
 
 _FREED_MEMORY_KEPT = _keep_freed_memory()
@@ -205,10 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise DimensionError(f"add: incompatible shapes {av.shape} and {bv.shape}")
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _emit(a.values + c, (a,), lambda g, want: (g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise DimensionError(f"mul: incompatible shapes {a.values.shape} and {b.values.shape}")
@@ -244,14 +243,16 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b over 2-D operands: one GEMM, however many positions a stacks."""
+    """a @ b over 2-D operands: one product, however many positions a
+    stacks, on two lanes when it is large (see `lanes.matmul`)."""
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree, {av.shape} vs {bv.shape}")
-    return _emit(av @ bv, (a, b), lambda g, want: (g @ bv.T if want[0] else None,
-                                                   av.T @ g if want[1] else None))
+    return _emit(lanes.matmul(av, bv), (a, b),
+                 lambda g, want: (lanes.matmul(g, bv.T) if want[0] else None,
+                                  lanes.matmul(av.T, g) if want[1] else None))
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -433,7 +434,9 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     sequence at its own last position with its `h0` still in place.  The
     x W products are one GEMM per gate over the whole stack, taken before
     the loop.  Returns the (rows, H) states in stack order.  The backward
-    pass is backpropagation through time with whole-stack weight GEMMs."""
+    pass is backpropagation through time with whole-stack weight GEMMs.
+    Every product goes through `lanes.matmul`, so a large one runs on two
+    lanes."""
     xv = x.values
     rows = xv.shape[0]
     hid = h0.values.shape[-1]
@@ -446,7 +449,7 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
         raise DimensionError(f"gru_scan: x {xv.shape}, h0 {h0.values.shape}, w {[t.values.shape for t in w]}, "
                              f"u {[t.values.shape for t in u]}, b {[t.values.shape for t in b]}")
     (u_z, u_r, u_h), (b_z, b_r, b_h) = (t.values for t in u), (t.values for t in b)
-    xw_z, xw_r, xw_h = (xv @ t.values for t in w)
+    xw_z, xw_r, xw_h = (lanes.matmul(xv, t.values) for t in w)
     # every row is written once: by its own position's step
     prev, states, zs, rs, cands = (np.empty((rows, hid)) for _ in range(5))
     if reverse:
@@ -455,9 +458,9 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     for lo, hi, k in steps:
         hk = h[:k]
         prev[lo:hi] = hk
-        z = zs[lo:hi] = _sigmoid((xw_z[lo:hi] + hk @ u_z) + b_z)
-        r = rs[lo:hi] = _sigmoid((xw_r[lo:hi] + hk @ u_r) + b_r)
-        c = cands[lo:hi] = np.tanh((xw_h[lo:hi] + (r * hk) @ u_h) + b_h)
+        z = zs[lo:hi] = _sigmoid((xw_z[lo:hi] + lanes.matmul(hk, u_z)) + b_z)
+        r = rs[lo:hi] = _sigmoid((xw_r[lo:hi] + lanes.matmul(hk, u_r)) + b_r)
+        c = cands[lo:hi] = np.tanh((xw_h[lo:hi] + lanes.matmul(r * hk, u_h)) + b_h)
         h[:k] = states[lo:hi] = (1.0 - z) * hk + z * c
 
     def back(g, want):
@@ -468,11 +471,11 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
             dhk = dh[:k] + g[lo:hi]
             z, r, c, hp = zs[lo:hi], rs[lo:hi], cands[lo:hi], prev[lo:hi]
             dc = dhk * z * (1.0 - c * c) * _tanh_backward_scale
-            drh = dc @ u_h.T
+            drh = lanes.matmul(dc, u_h.T)
             da[lo:hi, :hid] = dhk * (c - hp) * z * (1.0 - z)
             da[lo:hi, hid:2 * hid] = drh * hp * r * (1.0 - r)
             da[lo:hi, 2 * hid:] = dc
-            dh[:k] = dhk * (1.0 - z) + drh * r + da[lo:hi, :2 * hid] @ u_zr.T
+            dh[:k] = dhk * (1.0 - z) + drh * r + lanes.matmul(da[lo:hi, :2 * hid], u_zr.T)
         thirds = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
 
         def gates(wants, form):
@@ -482,11 +485,12 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
             full = form()
             return [full[..., k] if wk else None for k, wk in zip(thirds, wants)]
 
-        dx = da @ np.concatenate([t.values for t in w], axis=1).T if want[0] else None
+        dx = (lanes.matmul(da, np.concatenate([t.values for t in w], axis=1).T)
+              if want[0] else None)
         return (dx, dh if want[1] else None,
-                *gates(want[2:5], lambda: xv.T @ da),
-                *gates(want[5:7], lambda: prev.T @ da[:, :2 * hid]),
-                (rs * prev).T @ da[:, 2 * hid:] if want[7] else None,
+                *gates(want[2:5], lambda: lanes.matmul(xv.T, da)),
+                *gates(want[5:7], lambda: lanes.matmul(prev.T, da[:, :2 * hid])),
+                lanes.matmul((rs * prev).T, da[:, 2 * hid:]) if want[7] else None,
                 *gates(want[8:], lambda: da.sum(axis=0)))
 
     return _emit(states, (x, h0, *w, *u, *b), back)
@@ -526,11 +530,6 @@ def _scalar(value) -> float:
     if isinstance(value, Tensor):
         value = value.values
     return float(np.asarray(value))
-
-
-def numeric_gradient(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f() w.r.t. tensor's entries."""
-    return numeric_gradients(lambda: (f(),), tensor, h)[0]
 
 
 def numeric_gradients(f, tensor: Tensor, h: float = 1e-5) -> list[np.ndarray]:

@@ -20,12 +20,12 @@ lane:
   gives each of its threads depend on the shape.
 - A pass that touches every parameter once (the init draw, the L2 value
   and gradient, the clipping norm and the Adam update): elementwise
-  chains, or one sum per tensor, over independent pieces.  `run` splits
-  the pieces into two contiguous runs of about equal entry counts; a
-  piece goes through the same operations whichever lane runs it, and
-  per-piece results come back in piece order.  A pass splits only when
-  it has blocked work to share (an array larger than `BLOCK`, or a draw
-  longer than one generator block).
+  chains, or one sum per tensor (`square_sum` for the norm), over
+  independent pieces.  `run` splits the pieces into two contiguous runs
+  of about equal entry counts; a piece goes through the same operations
+  whichever lane runs it, and per-piece results come back in piece
+  order.  A pass splits only when it has blocked work to share (an array
+  larger than `BLOCK`, or a draw longer than one generator block).
 
 Either splits only when the process has at least two CPUs of its own:
 the CPUs it may run on, divided among the worker processes of a
@@ -108,6 +108,22 @@ def row_blocks(shapes) -> list[tuple[int, slice | None, int]]:
             hi = min(lo + step, shape[0])
             pieces.append((i, slice(lo, hi), (hi - lo) * width))
     return pieces
+
+
+def square_sum(x: np.ndarray, area: np.ndarray) -> float:
+    """float(np.multiply(x, x).sum()), bit for bit, squared in `area` (at
+    least min(x.size, BLOCK) entries) in leaves of at most `BLOCK`
+    entries.  numpy sums an array pairwise: n entries above 128 split into
+    the first n2 = n // 2 - (n // 2) % 8 and the rest, and the two halves'
+    sums are added.  Splitting where numpy does leaves every leaf the same
+    sum, and adding the halves in the same order the same total."""
+    n = x.size
+    if n <= BLOCK:
+        return float(np.multiply(x, x, out=area[:n].reshape(x.shape)).sum())
+    x = x.reshape(-1)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return square_sum(x[:n2], area) + square_sum(x[n2:], area)
 
 
 def cut(sizes: Sequence[int]) -> int:
@@ -253,13 +269,19 @@ def run(work: Callable[[int, int, int], list], sizes: Sequence[int], shared: boo
 
 # the OpenBLAS libraries the process has loaded, found at the first query
 _openblas: list[ctypes.CDLL] | None = None
+# `openblas_calls` results by function name: a symbol a library lacks is
+# looked up again by ctypes at every ask
+_calls: dict[str, list] = {}
 
 
 def openblas_calls(name: str) -> list:
     """The OpenBLAS function `name` (say "get_num_threads") of every
     OpenBLAS library the process has loaded, found by the file names in
-    /proc/self/maps; none where those cannot be read."""
+    /proc/self/maps; none where those cannot be read.  Found once per
+    name."""
     global _openblas
+    if name in _calls:
+        return _calls[name]
     if _openblas is None:
         try:
             with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -280,6 +302,7 @@ def openblas_calls(name: str) -> list:
             if call is not None:
                 calls.append(call)
                 break
+    _calls[name] = calls
     return calls
 
 

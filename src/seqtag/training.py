@@ -111,10 +111,14 @@ class Corpus:
 class Adam:
     """Adaptive-moment gradient steps over one named parameter group, with
     optional global-norm clipping.  Step counts start at zero.  `group`
-    names the group in errors.  The norm and the update run on two lanes
-    when a tensor is larger than `lanes.BLOCK` (see `lanes`): the norm
-    squares whole tensors, each lane into its own area, and the update
-    runs row blocks through two block-sized work areas per lane."""
+    names the group in errors.  The moments are made by the first `step`,
+    after a backward pass has freed the step's activations, and that step
+    writes them directly, with the bytes a start from zero moments gives.
+    The norm and the update run on two lanes when a tensor is larger than
+    `lanes.BLOCK` (see `lanes`), each lane through two block-sized work
+    areas of its own: the norm squares leaves of at most `BLOCK` entries
+    into the first (`lanes.square_sum`), the update runs row blocks
+    through both."""
 
     def __init__(self, tensors: list[Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None,
@@ -127,40 +131,29 @@ class Adam:
         self.clip_norm = clip_norm
         self.group = group
         self.step_count = 0
-        self._m = [np.zeros(t.values.shape) for t in tensors]
-        self._v = [np.zeros(t.values.shape) for t in tensors]
+        # the first and second moments, made by the first `step`
+        self._m: list[np.ndarray] | None = None
+        self._v: list[np.ndarray] | None = None
         self._sizes = [t.values.size for t in tensors]
         self._blocked = lanes.blocked(self._sizes)
-        # `_squares[lane]`: where the norm squares the tensors that lane
-        # runs, made by the first `grad_norm`, after a backward pass has
-        # freed the memory the step's activations held
-        self._squares = None
-        # `step` runs row blocks, each through two block-sized work areas
-        # of its lane
         self._pieces = lanes.row_blocks([t.values.shape for t in tensors])
         self._piece_sizes = [size for *_, size in self._pieces]
-        widest = max(self._piece_sizes, default=0)
-        self._work = [(np.empty(widest), np.empty(widest))
-                      for _ in range(2 if self._blocked else 1)]
+        # a work area holds the widest update piece and a whole norm leaf
+        width = max(self._piece_sizes + [lanes.BLOCK if self._blocked else 0])
+        self._work = [(np.empty(width), np.empty(width)) for _ in range(2 if self._blocked else 1)]
         self._norm = None
 
     def grad_norm(self) -> float:
         """Global L2 norm of the group's `.grad`, kept for the next `step`:
-        one sum per tensor, added in tensor order.  A non-finite norm
-        raises NumericError naming the group, so a caller can check every
-        group before any of them steps."""
+        one sum per tensor, each with the bits of np.multiply(g, g).sum(),
+        added in tensor order.  A non-finite norm raises NumericError
+        naming the group, so a caller can check every group before any of
+        them steps."""
         grads = [t.grad for t in self.tensors]
-        if self._squares is None:
-            # lane 0 runs every tensor when the pass does not split, lane 1
-            # the tensors from the cut `lanes.run` makes on
-            rest = self._sizes[lanes.cut(self._sizes):] if self._blocked else []
-            self._squares = [np.empty(max(self._sizes, default=0)),
-                             np.empty(max(rest, default=0))]
 
         def sums(lo, hi, lane):
-            area = self._squares[lane]
-            return [float(np.multiply(g, g, out=area[:g.size].reshape(g.shape)).sum())
-                    for g in grads[lo:hi]]
+            area = self._work[lane][0]
+            return [lanes.square_sum(g, area) for g in grads[lo:hi]]
 
         total = np.sqrt(sum(lanes.run(sums, self._sizes, self._blocked)))
         if not np.isfinite(total):
@@ -176,12 +169,18 @@ class Adam:
         factor = 1.0
         if self.clip_norm is not None and total > self.clip_norm:
             factor = self.clip_norm / total
+        first = self._m is None
+        if first:
+            self._m = [np.empty(t.values.shape) for t in self.tensors]
+            self._v = [np.empty(t.values.shape) for t in self.tensors]
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
 
         # m += (1-b1)(g - m); v += (1-b2)(g*g - v);
-        # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time
+        # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time;
+        # from zero moments the first two are m = g(1-b1) + 0 and
+        # v = (g*g)(1-b2), the + 0 turning -0.0 into 0.0 as 0 + g(1-b1) does
         def update(lo, hi, lane):
             work_a, work_b = self._work[lane]
             for i, rows, size in self._pieces[lo:hi]:
@@ -191,13 +190,19 @@ class Adam:
                 a = work_a[:size].reshape(theta.shape)
                 b = work_b[:size].reshape(theta.shape)
                 g = grad if factor == 1.0 else np.multiply(grad, factor, out=a)
-                np.subtract(g, m, out=b)
-                b *= 1.0 - self.beta1
-                m += b
-                np.multiply(g, g, out=b)
-                b -= v
-                b *= 1.0 - self.beta2
-                v += b
+                if first:
+                    np.multiply(g, 1.0 - self.beta1, out=m)
+                    m += 0.0
+                    np.multiply(g, g, out=v)
+                    v *= 1.0 - self.beta2
+                else:
+                    np.subtract(g, m, out=b)
+                    b *= 1.0 - self.beta1
+                    m += b
+                    np.multiply(g, g, out=b)
+                    b -= v
+                    b *= 1.0 - self.beta2
+                    v += b
                 np.divide(m, bc1, out=a)
                 a *= self.lr
                 np.divide(v, bc2, out=b)

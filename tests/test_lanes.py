@@ -1,6 +1,7 @@
 """Work on two lanes: the same bytes as on one, and at most one kept
 helper thread, which no forked process inherits."""
 
+import ctypes
 import math
 import os
 import sys
@@ -30,6 +31,8 @@ from seqtag.training import Adam, Corpus, TrainingConfig, multi_run, predict_cor
 # dims, so the halves cut inside it (by row blocks) or right after it (by
 # whole tensors); the small tensors fit in one block each
 SHAPES = ((1500, 64), (5,), (3, 4), (300, 120), (2, 2), (250, 150), (7,))
+# `lanes.run` itself, for wrappers that record what it returns
+RUN = lanes.run
 
 
 @pytest.fixture
@@ -117,6 +120,45 @@ def tensors_with_grads(seed: int):
     return tensors
 
 
+def signed_zero_tensors(seed: int):
+    """`tensors_with_grads` with +0.0 and -0.0 gradient entries, beside
+    values of either sign of zero, in every combination."""
+    tensors = tensors_with_grads(seed)
+    for t in tensors:
+        values, grad = t.values.reshape(-1), t.grad.reshape(-1)
+        values[:4] = [0.0, -0.0, 0.0, -0.0]
+        grad[:4] = [0.0, 0.0, -0.0, -0.0]
+        grad[5::7] = -0.0
+        grad[6::11] = 0.0
+    return tensors
+
+
+def zero_start_step(grads, values, moments, velocities, step, clip_norm, lr):
+    """One Adam step from moments that started at zero, one operation at a
+    time in the order `Adam.step` runs from its second step on; whole
+    arrays, as elementwise results do not depend on the blocking."""
+    norm = np.sqrt(sum(float(np.multiply(g, g).sum()) for g in grads))
+    factor = clip_norm / norm if clip_norm is not None and norm > clip_norm else 1.0
+    bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+    for grad, theta, m, v in zip(grads, values, moments, velocities, strict=True):
+        g = grad if factor == 1.0 else np.multiply(grad, factor)
+        b = np.subtract(g, m)
+        b *= 1.0 - 0.9
+        m += b
+        b = np.multiply(g, g)
+        b -= v
+        b *= 1.0 - 0.999
+        v += b
+        a = np.divide(m, bc1)
+        a *= lr
+        b = np.divide(v, bc2)
+        np.sqrt(b, out=b)
+        b += 1e-8
+        a /= b
+        theta -= a
+    return factor != 1.0
+
+
 def big_table_setup(seed: int = 3):
     """A small model whose word table (3000 x 32) is the one blocked tensor,
     with an encoded batch and the dual regime's group B."""
@@ -186,6 +228,35 @@ class TestTwoLanesEqualOne:
         for a, b in zip(arrays1, arrays2, strict=True):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    def test_first_update_writes_what_zero_moments_give(self, monkeypatch, handoffs, clip_norm):
+        # the first step makes the moments and writes them directly; after
+        # it and each later step, they and the values hold the bytes of a
+        # start from zero moments, signed zeros included
+        def steps():
+            tensors = signed_zero_tensors(17)
+            values = [t.values.copy() for t in tensors]
+            moments = [np.zeros_like(v) for v in values]
+            velocities = [np.zeros_like(v) for v in values]
+            opt = Adam(tensors, lr=0.01, clip_norm=clip_norm)
+            fired = []
+            for step in range(1, 4):
+                grads = [t.grad.copy() for t in tensors]
+                opt.step()
+                fired.append(zero_start_step(grads, values, moments, velocities, step,
+                                             clip_norm, 0.01))
+                for name, got, want in (("m", opt._m, moments), ("v", opt._v, velocities),
+                                        ("values", [t.values for t in tensors], values)):
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True)), \
+                        f"{name} after step {step}"
+                for t in tensors:  # flips the sign of every zero
+                    t.grad *= -0.5
+            return fired, [t.values.tobytes() for t in tensors]
+
+        (fired, values1), (_, values2) = both_ways(monkeypatch, handoffs, steps)
+        assert fired == [clip_norm is not None] * 3
+        assert values1 == values2
+
     def test_adam_step_with_lanes_switching_often(self, monkeypatch, handoffs):
         # the lanes share no mutable state: forcing the interpreter to
         # switch threads every microsecond must not change a byte
@@ -201,6 +272,37 @@ class TestTwoLanesEqualOne:
         expected = np.sqrt(sum(float((t.grad * t.grad).sum()) for t in tensors))
         one, two = both_ways(monkeypatch, handoffs, lambda: Adam(tensors, lr=0.1).grad_norm())
         assert one == two == expected
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(size=st.one_of(st.integers(1, 5 * lanes.BLOCK),
+                          st.builds(lambda k, r: k * lanes.BLOCK + r, st.integers(1, 5),
+                                    st.sampled_from([1, 3, 7, 9, 15, 127, 129, 1023]))),
+           width=st.sampled_from([None, 1, 3, 8, 300, 1200]), seed=st.integers(0, 2**32 - 1))
+    def test_grad_norm_sums_are_numpys_sums_bit_for_bit(self, monkeypatch, handoffs, size, width,
+                                                        seed):
+        rule = ("numpy's pairwise sum no longer splits n > 128 entries into the first "
+                "n // 2 - (n // 2) % 8 and the rest: lanes.square_sum splits where it did")
+        rng = np.random.default_rng(seed)
+        shape = (size,) if width is None else (max(1, size // width), width)
+        grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        expected = float(np.multiply(grad, grad).sum())
+        assert lanes.square_sum(grad, np.empty(lanes.BLOCK)).hex() == expected.hex(), rule
+        # a second blocked tensor, so that each lane squares one of the two
+        other = rng.standard_normal(2 * lanes.BLOCK + 3)
+        tensors = [ad.Tensor(np.zeros_like(g), requires_grad=True) for g in (grad, other)]
+        tensors[0].grad, tensors[1].grad = grad, other
+        want = [expected, float(np.multiply(other, other).sum())]
+        sums = []
+
+        def run(*args):
+            sums.append(RUN(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(lanes, "run", run)
+        one, two = both_ways(monkeypatch, handoffs, lambda: Adam(tensors, lr=0.1).grad_norm())
+        assert [[s.hex() for s in lane] for lane in sums] == [[w.hex() for w in want]] * 2, rule
+        assert one == two == np.sqrt(sum(want))
 
     def test_l2_penalty(self, monkeypatch, handoffs):
         params, _, _ = big_table_setup()
@@ -301,6 +403,23 @@ class TestProducts:
             assert a.tobytes() == b.tobytes()
         for a, b in zip(tags1, tags2, strict=True):
             np.testing.assert_array_equal(a, b)
+
+    def test_openblas_functions_are_found_once(self, monkeypatch):
+        # a product above the split size asks for BLAS's thread count:
+        # ctypes looks up a missing symbol spelling again at every ask
+        if lanes.blas_threads() is None:
+            pytest.skip("no OpenBLAS loaded")
+        lookups = [0]
+        original = ctypes.CDLL.__getitem__
+
+        def getitem(self, name):
+            lookups[0] += 1
+            return original(self, name)
+
+        monkeypatch.setattr(ctypes.CDLL, "__getitem__", getitem)
+        for _ in range(3):
+            assert lanes.blas_threads() >= 1
+        assert lookups[0] == 0
 
 
 class TestThreadHygiene:

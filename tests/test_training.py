@@ -245,12 +245,32 @@ class TestAdam:
         params, _, _ = zero_param_fixture()
         tensors = [t for _, t in params.named_tensors()]
         opt = Adam(tensors, lr=1e-3)
-        for t, mom in zip(tensors, opt._m):
-            assert mom.shape == t.values.shape
         params.zero_grads()
         opt.step()
+        for t, mom, vel in zip(tensors, opt._m, opt._v, strict=True):
+            assert mom.shape == vel.shape == t.values.shape
         opt.step()
         assert opt.step_count == 2
+
+    def test_no_tensor_sized_memory_before_the_first_step(self):
+        # the moments are made by the first step, and the norm squares a
+        # large tensor block by block in the work areas `Adam` already holds
+        t = ad.Tensor(np.ones(20 * lanes.BLOCK), requires_grad=True)
+        t.grad = np.linspace(-1.0, 1.0, t.values.size)
+        block_area = lanes.BLOCK * t.values.itemsize
+        tracemalloc.start()
+        try:
+            opt = Adam([t], lr=0.01)
+            made, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.grad_norm()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert opt._m is None and opt._v is None
+        assert made < t.values.nbytes, f"Adam(...) allocated {made} bytes"
+        assert peak - made < 3 * block_area, f"grad_norm peaked {peak - made} bytes above"
+        assert held - made < block_area
 
     @pytest.mark.parametrize("clip_norm", [None, 1e9, 0.5])
     def test_step_matches_reference_formula_bit_for_bit(self, clip_norm):

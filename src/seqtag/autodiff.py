@@ -13,8 +13,10 @@ how inference runs.
 Only leaves (tensors created with `requires_grad=True`, not produced by
 an operation) keep a `.grad`, accumulated in place.  A leaf holds none
 until the first gradient is written to it, so a model that only tags
-holds its values alone.  Gradients of intermediate results live only
-while `backward` needs them.
+holds its values alone.  A table above `lanes.BLOCK` entries keeps the
+rows `take_rows` scatters into it instead (`RowGradient`), so that a step
+builds no table-sized gradient.  Gradients of intermediate results live
+only while `backward` needs them.
 
 Shape conventions: parameters and activations are 1-D or 2-D; 2-D
 tensors carry batch rows.  The only broadcast supported is adding a 1-D
@@ -94,18 +96,81 @@ class Tape:
         return self._entries
 
 
+class RowGradient:
+    """The gradient of a 2-D table as the rows `take_rows` scatters into
+    it, plus `l2`·θ once the L2 pass has set `l2`: what a table above
+    `lanes.BLOCK` entries keeps instead of a dense `.grad`, as PyTorch's
+    `nn.Embedding(sparse=True)` keeps its gradient rows.  Entries are
+    formed where they are read, block by block (`form`, `entries`), from
+    the table's values at that moment, with the bytes the dense gradient
+    would hold: zeros, `np.add.at` of each scatter, then `+= l2·θ`."""
+
+    __slots__ = ("values", "scatters", "l2", "_compact")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.scatters: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, rows), in arrival order
+        self.l2 = 0.0
+        self._compact = None
+
+    def scatter(self, idx: np.ndarray, g: np.ndarray):
+        self.scatters.append((idx, g))
+        self._compact = None
+
+    def compact(self) -> "RowGradient":
+        """Sum the scatters once: the touched ids, sorted, and their rows,
+        each getting the additions, in the order, that `np.add.at` into
+        dense zeros gives it.  Call before lanes form from it."""
+        if self._compact is None:
+            ids = np.unique(np.concatenate([np.empty(0, np.int64)]
+                                           + [idx.reshape(-1) for idx, _ in self.scatters]))
+            rows = np.zeros((ids.size, self.values.shape[1]))
+            for idx, g in self.scatters:
+                np.add.at(rows, np.searchsorted(ids, idx), g)
+            self._compact = ids, rows
+        return self
+
+    def form(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows [lo, hi) of the gradient, written into `out` (hi - lo rows):
+        l2·θ + 0.0, the + 0.0 turning -0.0 into 0.0 as 0 + l2·θ does (0.0
+        when l2 is 0), plus its sum on a touched row."""
+        ids, rows = self.compact()._compact
+        if self.l2 == 0.0:
+            out.fill(0.0)
+        else:
+            np.multiply(self.values[lo:hi], self.l2, out=out)
+            out += 0.0
+        a, b = np.searchsorted(ids, (lo, hi))
+        out[ids[a:b] - lo] += rows[a:b]
+        return out
+
+    def entries(self, lo: int, hi: int, area: np.ndarray) -> np.ndarray:
+        """Flat entries [lo, hi) of the gradient, formed with the whole rows
+        that cover them in `area` (at least hi - lo + 2·width entries)."""
+        width = self.values.shape[1]
+        first, last = lo // width, -(-hi // width)
+        formed = self.form(first, last, area[:(last - first) * width].reshape(-1, width))
+        return formed.reshape(-1)[lo - first * width:hi - first * width]
+
+
 class Tensor:
     """A float64 array, and for a leaf its gradient.  `.grad` is None
-    until something writes a gradient: `backward` (including the rows
-    `take_rows` scatters into a leaf table) or `zero_grad` creates it as
-    zeros on the first write and accumulates into it from then on."""
+    until something writes a gradient: `backward` or `zero_grad` creates
+    it as zeros on the first write and accumulates into it from then on.
+    A 2-D leaf above `lanes.BLOCK` entries without a dense `.grad` keeps
+    its gradient as `rows` instead, a `RowGradient` that `zero_grad`
+    makes and `take_rows` scatters into; its first dense write (from any
+    other op) forms the dense array.  Reading `.grad` forms the dense
+    array from those rows and keeps it, so the tensor then takes the
+    dense path until `.grad` is set; setting `.grad` drops the rows."""
 
-    __slots__ = ("values", "grad", "requires_grad", "node_id", "tape", "name")
+    __slots__ = ("values", "_grad", "rows", "requires_grad", "node_id", "tape", "name")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None
+        self._grad = None
+        self.rows: RowGradient | None = None
         self.node_id = next(_ids)
         self.tape = None
         self.name = name
@@ -114,18 +179,48 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self.rows is not None:
+            self._grad = self.rows.form(0, self.values.shape[0], np.empty(self.values.shape))
+            self.rows = None
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None):
+        self._grad = value
+        self.rows = None
+
+    def _keeps_rows(self) -> bool:
+        v = self.values
+        return self._grad is None and v.ndim == 2 and v.size > lanes.BLOCK
+
     def grad_to_write(self) -> np.ndarray:
-        """`.grad`, created as zeros if no gradient was written yet."""
+        """The dense `.grad`: formed from `rows` if the tensor keeps them,
+        created as zeros if no gradient was written yet."""
         if self.grad is None:
-            self.grad = np.zeros(self.values.shape)
-        return self.grad
+            self._grad = np.zeros(self.values.shape)
+        return self._grad
+
+    def scatter_rows(self, idx: np.ndarray, g: np.ndarray):
+        """Add row g[k] to gradient row idx[k] for every k, as `np.add.at`
+        does: into `rows` when the tensor keeps them, else into `.grad`."""
+        if self.rows is None and self._keeps_rows():
+            self.rows = RowGradient(self.values)
+        if self.rows is None:
+            np.add.at(self.grad_to_write(), idx, g)
+        else:
+            self.rows.scatter(idx, g)
 
     def zero_grad(self):
-        """Zero `.grad`, creating it if no gradient was written yet."""
-        if self.grad is None:
-            self.grad_to_write()
+        """Zero the gradient: fill a dense `.grad`, give a tensor that keeps
+        rows empty ones, or create `.grad` as zeros."""
+        if self._grad is not None:
+            self._grad.fill(0.0)
+        elif self._keeps_rows():
+            self.rows = RowGradient(self.values)
         else:
-            self.grad.fill(0.0)
+            self._grad = np.zeros(self.values.shape)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -283,11 +378,12 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
 
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor; duplicate ids accumulate on backward.
-    A leaf source (an embedding table) receives its gradient rows straight
-    into `.grad`, so no table-sized array is built beyond `.grad` itself.
-    Into an intermediate source, ids checked to be unique (a permutation)
-    are assigned rather than accumulated: the same bytes, without
-    `np.add.at`."""
+    A leaf source (an embedding table) receives its gradient rows through
+    `Tensor.scatter_rows`: kept as rows by a table above `lanes.BLOCK`
+    entries, added into `.grad` otherwise, so no table-sized array is
+    built beyond `.grad`.  Into an intermediate source, ids checked to be
+    unique (a permutation) are assigned rather than accumulated: the same
+    bytes, without `np.add.at`."""
     idx = np.asarray(ids, dtype=np.int64)
     tv = table.values
     if tv.ndim != 2:
@@ -297,7 +393,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
 
     def back(g, want):
         if table.tape is None:
-            np.add.at(table.grad_to_write(), idx, g)
+            table.scatter_rows(idx, g)
             return (None,)
         gt = np.zeros_like(tv)
         if np.bincount(idx, minlength=tv.shape[0]).max(initial=0) <= 1:

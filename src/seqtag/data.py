@@ -424,17 +424,6 @@ class SyntheticSpec:
             out += [f"B-{c}", f"I-{c}"]
         return out
 
-    def expected_label_distribution(self) -> dict[str, float]:
-        """Analytic token-level label probabilities implied by the rules."""
-        mean_span = (1 + self.max_span) / 2.0
-        pp, k = self.phrase_prob, len(self.concepts)
-        tokens_per_unit = (1 - pp) * 1.0 + pp * (1.0 + mean_span)
-        dist = {"O": ((1 - pp) + pp) / tokens_per_unit}
-        for c in self.concepts:
-            dist[f"B-{c}"] = pp / k / tokens_per_unit
-            dist[f"I-{c}"] = pp * (mean_span - 1.0) / k / tokens_per_unit
-        return dist
-
 
 def _spec_words(spec: SyntheticSpec):
     fillers = [f"f{i}" for i in range(spec.n_filler_types)]
@@ -476,35 +465,6 @@ def make_synthetic_corpus(spec: SyntheticSpec, seed: int):
     dev = [_synth_sentence(spec, rng.fork(), heldout=True) for _ in range(spec.n_dev)]
     test = [_synth_sentence(spec, rng.fork(), heldout=True) for _ in range(spec.n_test)]
     return train, dev, test
-
-
-def oracle_labels(tokens: list[str], spec: SyntheticSpec) -> list[str]:
-    """Reapply the generation rules from the observable token sequence;
-    exact on anything the generator can emit."""
-    trigger_concept = {}
-    _, _, _, triggers = _spec_words(spec)
-    for concept, words in triggers.items():
-        for w in words:
-            trigger_concept[w] = concept
-    out = []
-    open_concept = None
-    for i, tok in enumerate(tokens):
-        if tok in trigger_concept:
-            out.append("O")
-            open_concept = None
-        elif tok.startswith("e"):
-            prev = tokens[i - 1] if i else None
-            if prev in trigger_concept:
-                open_concept = trigger_concept[prev]
-                out.append(f"B-{open_concept}")
-            elif open_concept is not None:
-                out.append(f"I-{open_concept}")
-            else:
-                out.append("O")  # unreachable for generated data
-        else:
-            out.append("O")
-            open_concept = None
-    return out
 
 
 def most_frequent_baseline(train: list[TaggedSentence]):

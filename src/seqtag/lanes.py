@@ -18,8 +18,10 @@ lane:
   only while the loaded OpenBLAS runs one thread (`blas_threads`): a
   BLAS on more threads keeps the CPUs busy already, and the rows it
   gives each of its threads depend on the shape.
-- A pass that touches every parameter once (the init draw, the L2 value
-  and gradient, the clipping norm and the Adam update): elementwise
+- A pass that touches every parameter once (the init draw, the L2 value,
+  the L2 add into the dense gradients, the clipping norm and the Adam
+  update, the last two forming a table's gradient from its scattered rows
+  block by block as they go; see `autodiff.RowGradient`): elementwise
   chains, or one sum per tensor (`square_sum` for the norm), over
   independent pieces.  `run` splits the pieces into two contiguous runs
   of about equal entry counts; a piece goes through the same operations
@@ -110,20 +112,33 @@ def row_blocks(shapes) -> list[tuple[int, slice | None, int]]:
     return pieces
 
 
-def square_sum(x: np.ndarray, area: np.ndarray) -> float:
+def square_sum(x: np.ndarray | Callable[[int, int], np.ndarray], area: np.ndarray,
+               size: int | None = None) -> float:
     """float(np.multiply(x, x).sum()), bit for bit, squared in `area` (at
-    least min(x.size, BLOCK) entries) in leaves of at most `BLOCK`
-    entries.  numpy sums an array pairwise: n entries above 128 split into
-    the first n2 = n // 2 - (n // 2) % 8 and the rest, and the two halves'
-    sums are added.  Splitting where numpy does leaves every leaf the same
-    sum, and adding the halves in the same order the same total."""
-    n = x.size
-    if n <= BLOCK:
-        return float(np.multiply(x, x, out=area[:n].reshape(x.shape)).sum())
-    x = x.reshape(-1)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return square_sum(x[:n2], area) + square_sum(x[n2:], area)
+    least min(size, BLOCK) entries) in leaves of at most `BLOCK` entries.
+    `x` is an array, or, given the `size` of the array it stands for, a
+    function x(lo, hi) that gives that array's flat entries [lo, hi) (a
+    gradient formed where it is read).  numpy sums an array pairwise: n
+    entries above 128 split into the first n2 = n // 2 - (n // 2) % 8 and
+    the rest, and the two halves' sums are added.  Splitting where numpy
+    does leaves every leaf the same sum, and adding the halves in the same
+    order the same total."""
+    if size is None:
+        if x.size <= BLOCK:
+            return float(np.multiply(x, x, out=area[:x.size].reshape(x.shape)).sum())
+        flat = x.reshape(-1)
+        x, size = (lambda lo, hi: flat[lo:hi]), flat.size
+
+    def total(lo: int, hi: int) -> float:
+        n = hi - lo
+        if n <= BLOCK:
+            leaf = x(lo, hi)
+            return float(np.multiply(leaf, leaf, out=area[:n]).sum())
+        n2 = n // 2
+        n2 -= n2 % 8
+        return total(lo, lo + n2) + total(lo + n2, hi)
+
+    return total(0, size)
 
 
 def cut(sizes: Sequence[int]) -> int:

@@ -317,8 +317,11 @@ class ModelParameters:
         return self._tensors[name]
 
     def zero_grads(self):
-        """Zero every tensor's gradient, creating the ones no pass has
-        written yet, so that each optimizer finds one per tensor."""
+        """Zero every tensor's gradient, so that each optimizer finds one per
+        tensor (see `autodiff.Tensor.zero_grad`).  A 2-D tensor above
+        `lanes.BLOCK` entries that has no dense `.grad` gets none here: a
+        table keeps the rows its gather scatters into it, and any other
+        tensor gets its `.grad` at its first write, in `backward`."""
         for t in self._tensors.values():
             t.zero_grad()
 

@@ -7,7 +7,9 @@ The objective over a batch D with per-sentence gold labels e is
 
 The tape records only the log-likelihood part.  The L2 penalty is
 computed off the tape: its value is added to the logged loss and its
-gradient, l2 * theta, is added analytically after the backward pass.
+gradient, l2 * theta, is added analytically after the backward pass, or,
+for a table that keeps its gradient as scattered rows, formed with them
+where the optimizer reads them.
 
 In the dual regime the parameters split into the backward-decoder group
 (its decoder block plus the backward output projection), stepped by its
@@ -118,7 +120,10 @@ class Adam:
     `lanes.BLOCK` (see `lanes`), each lane through two block-sized work
     areas of its own: the norm squares leaves of at most `BLOCK` entries
     into the first (`lanes.square_sum`), the update runs row blocks
-    through both."""
+    through both.  A table that keeps its gradient as rows
+    (`autodiff.RowGradient`) has it formed in those areas as the passes
+    go: the rows that cover a norm leaf in the second area, each update
+    block in the first, with the bytes a dense `.grad` would hold."""
 
     def __init__(self, tensors: list[Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None,
@@ -138,8 +143,10 @@ class Adam:
         self._blocked = lanes.blocked(self._sizes)
         self._pieces = lanes.row_blocks([t.values.shape for t in tensors])
         self._piece_sizes = [size for *_, size in self._pieces]
-        # a work area holds the widest update piece and a whole norm leaf
-        width = max(self._piece_sizes + [lanes.BLOCK if self._blocked else 0])
+        # a work area holds the widest update piece, and a whole norm leaf
+        # with the two part rows that a leaf formed from rows may cut
+        widest = max((t.values.shape[1] for t in tensors if t.values.ndim == 2), default=0)
+        width = max(self._piece_sizes + [lanes.BLOCK + 2 * widest if self._blocked else 0])
         self._work = [(np.empty(width), np.empty(width)) for _ in range(2 if self._blocked else 1)]
         self._norm = None
 
@@ -149,17 +156,27 @@ class Adam:
         added in tensor order.  A non-finite norm raises NumericError
         naming the group, so a caller can check every group before any of
         them steps."""
-        grads = [t.grad for t in self.tensors]
+        grads = self._gradients()
+
+        def square_sum(g, area, formed):
+            if isinstance(g, ad.RowGradient):
+                return lanes.square_sum(lambda lo, hi: g.entries(lo, hi, formed), area,
+                                        g.values.size)
+            return lanes.square_sum(g, area)
 
         def sums(lo, hi, lane):
-            area = self._work[lane][0]
-            return [lanes.square_sum(g, area) for g in grads[lo:hi]]
+            return [square_sum(g, *self._work[lane]) for g in grads[lo:hi]]
 
         total = np.sqrt(sum(lanes.run(sums, self._sizes, self._blocked)))
         if not np.isfinite(total):
             raise NumericError(f"gradient norm of group {self.group} is {total}")
         self._norm = total
         return total
+
+    def _gradients(self) -> list:
+        """Each tensor's dense `.grad`, or its `RowGradient`, compacted here
+        before any lane forms from it."""
+        return [t.grad if t.rows is None else t.rows.compact() for t in self.tensors]
 
     def step(self):
         if not self.tensors:
@@ -174,21 +191,27 @@ class Adam:
             self._m = [np.empty(t.values.shape) for t in self.tensors]
             self._v = [np.empty(t.values.shape) for t in self.tensors]
         self.step_count += 1
+        grads = self._gradients()
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
 
         # m += (1-b1)(g - m); v += (1-b2)(g*g - v);
         # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time;
         # from zero moments the first two are m = g(1-b1) + 0 and
-        # v = (g*g)(1-b2), the + 0 turning -0.0 into 0.0 as 0 + g(1-b1) does
+        # v = (g*g)(1-b2), the + 0 turning -0.0 into 0.0 as 0 + g(1-b1) does;
+        # a block formed from rows is formed before its values move
         def update(lo, hi, lane):
             work_a, work_b = self._work[lane]
             for i, rows, size in self._pieces[lo:hi]:
-                t, mom, vel = self.tensors[i], self._m[i], self._v[i]
-                grad, theta, m, v = ((t.grad, t.values, mom, vel) if rows is None
-                                     else (t.grad[rows], t.values[rows], mom[rows], vel[rows]))
+                t, grad, mom, vel = self.tensors[i], grads[i], self._m[i], self._v[i]
+                theta, m, v = ((t.values, mom, vel) if rows is None
+                               else (t.values[rows], mom[rows], vel[rows]))
                 a = work_a[:size].reshape(theta.shape)
                 b = work_b[:size].reshape(theta.shape)
+                if isinstance(grad, ad.RowGradient):
+                    grad = grad.form(rows.start, rows.stop, a)
+                elif rows is not None:
+                    grad = grad[rows]
                 g = grad if factor == 1.0 else np.multiply(grad, factor, out=a)
                 if first:
                     np.multiply(g, 1.0 - self.beta1, out=m)
@@ -270,12 +293,16 @@ def _track(tensors: list[Tensor], flag: bool):
 
 def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mode: m.Mode,
                    l2: float, group_b: Sequence[str] = ()) -> float:
-    """One training step's gradients, left in every parameter's `.grad`;
-    returns the logged loss value (the full objective, L2 included).
+    """One training step's gradients, left in every parameter's `.grad`,
+    or, for a table above `lanes.BLOCK` entries, in the rows `take_rows`
+    scatters into it (`autodiff.RowGradient`, formed into the dense array
+    only if `.grad` is read); returns the logged loss value (the full
+    objective, L2 included).
 
     Tensors named in `group_b` get the gradient of the backward-only term
     -bw.  Every other tensor gets the full objective's gradient: the
-    tape's plus l2 * theta.  Both gradients are taken at the current
+    tape's plus l2 * theta, added to a dense `.grad` here and set as the
+    `l2` of a row gradient.  Both gradients are taken at the current
     parameters, from one forward pass: the backward-only pass runs with
     the other tensors frozen (`requires_grad` cleared) and the full pass
     with group B frozen, so each pass writes its own group's `.grad` and
@@ -303,17 +330,21 @@ def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mo
             # the step's activations now, not at the next cyclic collection
             tape.entries.clear()
     if l2 != 0.0:
-        pieces = lanes.row_blocks([t.values.shape for t in a_tensors])
+        for t in a_tensors:
+            if t.rows is not None:
+                t.rows.l2 = l2
+        dense = [t for t in a_tensors if t.rows is None]
+        pieces = lanes.row_blocks([t.values.shape for t in dense])
 
         def add_l2(lo, hi, lane):
             for i, rows, _ in pieces[lo:hi]:
                 rows = slice(None) if rows is None else rows
-                grad = a_tensors[i].grad[rows]
-                grad += l2 * a_tensors[i].values[rows]
+                grad = dense[i].grad[rows]
+                grad += l2 * dense[i].values[rows]
             return []
 
         lanes.run(add_l2, [size for *_, size in pieces],
-                  lanes.blocked([t.values.size for t in a_tensors]))
+                  lanes.blocked([t.values.size for t in dense]))
     return value
 
 

@@ -1,11 +1,16 @@
-"""Tape-free straight-line recomputation of the network forward pass.
+"""Tape-free straight-line recomputation of the network forward pass,
+and the synthetic task's rules recomputed from its spec.
 
 Used as the independent second route for model and loss tests: plain
 numpy on raw parameter values (a name -> array dict), no Tensor, no tape,
-unshifted softmax.  Single sentence, 1-D vectors per position.
+unshifted softmax.  Single sentence, 1-D vectors per position.  The data
+tests check generated corpora against `expected_label_distribution` and
+`oracle_labels`.
 """
 
 import numpy as np
+
+from seqtag.data import SyntheticSpec, _spec_words
 
 BOUNDARY = 2
 RESERVED = 3  # inference argmax skips pad/unk/boundary label ids
@@ -133,3 +138,48 @@ def loss_value(p, sentences, l2):
     if l2:
         total += 0.5 * l2 * sum(float((v * v).sum()) for v in p.values())
     return total
+
+
+# ---------------------------------------------------------------------------
+# the synthetic task's rules
+
+
+def expected_label_distribution(spec: SyntheticSpec) -> dict[str, float]:
+    """Analytic token-level label probabilities implied by the rules."""
+    mean_span = (1 + spec.max_span) / 2.0
+    pp, k = spec.phrase_prob, len(spec.concepts)
+    tokens_per_unit = (1 - pp) * 1.0 + pp * (1.0 + mean_span)
+    dist = {"O": ((1 - pp) + pp) / tokens_per_unit}
+    for c in spec.concepts:
+        dist[f"B-{c}"] = pp / k / tokens_per_unit
+        dist[f"I-{c}"] = pp * (mean_span - 1.0) / k / tokens_per_unit
+    return dist
+
+
+def oracle_labels(tokens: list[str], spec: SyntheticSpec) -> list[str]:
+    """Reapply the generation rules from the observable token sequence;
+    exact on anything the generator can emit."""
+    trigger_concept = {}
+    _, _, _, triggers = _spec_words(spec)
+    for concept, words in triggers.items():
+        for w in words:
+            trigger_concept[w] = concept
+    out = []
+    open_concept = None
+    for i, tok in enumerate(tokens):
+        if tok in trigger_concept:
+            out.append("O")
+            open_concept = None
+        elif tok.startswith("e"):
+            prev = tokens[i - 1] if i else None
+            if prev in trigger_concept:
+                open_concept = trigger_concept[prev]
+                out.append(f"B-{open_concept}")
+            elif open_concept is not None:
+                out.append(f"I-{open_concept}")
+            else:
+                out.append("O")  # unreachable for generated data
+        else:
+            out.append("O")
+            open_concept = None
+    return out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import expected_label_distribution, oracle_labels
 from seqtag.data import (
     BOUNDARY,
     PAD,
@@ -20,7 +21,6 @@ from seqtag.data import (
     load_conll,
     make_synthetic_corpus,
     most_frequent_baseline,
-    oracle_labels,
     stream_chunks,
     token_stream,
     window_offsets,
@@ -288,7 +288,7 @@ class TestSyntheticCorpus:
             for lab in sent.labels:
                 counts[lab] = counts.get(lab, 0) + 1
                 total += 1
-        expected = spec.expected_label_distribution()
+        expected = expected_label_distribution(spec)
         assert abs(sum(expected.values()) - 1.0) < 1e-12
         for lab, p in expected.items():
             observed = counts.get(lab, 0) / total

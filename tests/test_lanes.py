@@ -159,15 +159,16 @@ def zero_start_step(grads, values, moments, velocities, step, clip_norm, lr):
     return factor != 1.0
 
 
-def big_table_setup(seed: int = 3):
-    """A small model whose word table (3000 x 32) is the one blocked tensor,
-    with an encoded batch and the dual regime's group B."""
+def big_table_setup(seed: int = 3, n_words: int = 3000, word_dim: int = 32, label_dim: int = 4):
+    """A small model whose word table (by default 3000 x 32) is the one
+    blocked tensor, with an encoded batch and the dual regime's group B."""
     spec = SyntheticSpec(n_train=6, n_dev=2, n_test=0, min_units=2, max_units=4,
                          n_filler_types=10, n_entity_types=5, n_trigger_types=2)
     sentences, _, _ = make_synthetic_corpus(spec, seed)
     vocabs = build_vocabularies(sentences)
-    config = TrainingConfig(hidden=6, word_dim=32, char_dim=4, char_hidden=3, label_dim=4)
-    dims = replace(training._model_dims(config, vocabs), n_words=3000)
+    config = TrainingConfig(hidden=6, word_dim=word_dim, char_dim=4, char_hidden=3,
+                            label_dim=label_dim)
+    dims = replace(training._model_dims(config, vocabs), n_words=n_words)
     params = ModelParameters(dims, SplitMix64(seed))
     _, group_b = training.dual_parameter_groups(params)
     return params, encode_corpus(sentences, vocabs), group_b
@@ -338,6 +339,113 @@ class TestTwoLanesEqualOne:
         np.testing.assert_array_equal(f1, f2)
         np.testing.assert_array_equal(u1, u2)
         assert state1 == state2 and end1 == end2
+
+
+def row_tables_setup():
+    """`big_table_setup` with two tables that keep their gradients as rows:
+    the word table, 3001 x 30, whose rows numpy's pairwise split points cut
+    (the first falls at entry 45,008); and the label table, 8 x 8251,
+    which both decoders gather from, so that the full pass scatters into it
+    twice.  Each table holds +0.0 and -0.0 in a row no id reaches and in one
+    that ids reach."""
+    params, batch, group_b = big_table_setup(n_words=3001, word_dim=30, label_dim=8251)
+    for name, rows in (("embed.word", (3000, 4)), ("embed.label", (0, 4))):
+        for row in rows:
+            params.get(name).values[row, :4] = [0.0, -0.0, -0.0, 0.0]
+    return params, batch, group_b
+
+
+def adam_rounds(params, batch, group_b, l2, clip_norm, dense, read):
+    """Three dual-regime rounds of `step_gradients`, each group's
+    `grad_norm` and `Adam.step`, from a clone of `params`.  Tensors above
+    `BLOCK` get a dense `.grad` before each round when `dense`; with
+    `read`, every `.grad` is read once the gradients are taken.  Per round:
+    which tensors held rows then, and the bytes of the loss, every
+    gradient (formed from its rows where it keeps them), the norms, the
+    values and the moments."""
+    params = params.clone()
+    groups = training.dual_parameter_groups(params)
+    opts = [Adam([params.get(n) for n in names], 0.01, clip_norm=clip_norm) for names in groups]
+    mode = m.Mode(training=True, dropout_p=0.2, rng=SplitMix64(5))
+    tensors = [t for _, t in params.named_tensors()]
+    rounds = []
+    for _ in range(3):
+        if dense:
+            for t in tensors:
+                if t.values.size > lanes.BLOCK:
+                    t.grad = np.zeros(t.values.shape)
+        loss = training.step_gradients(batch, params, mode, l2, group_b)
+        with_rows = sorted(t.name for t in tensors if t.rows is not None)
+        grads = [(t.grad if read or t.rows is None
+                  else t.rows.form(0, t.values.shape[0], np.empty(t.values.shape))).tobytes()
+                 for t in tensors]
+        norms = [float(opt.grad_norm()).hex() for opt in opts]
+        for opt in opts:
+            opt.step()
+        rounds.append((with_rows, loss.hex(), grads, norms, [t.values.tobytes() for t in tensors],
+                       [a.tobytes() for opt in opts for a in opt._m + opt._v]))
+    return rounds
+
+
+class TestRowGradients:
+    @pytest.mark.parametrize("read", [False, True], ids=["rows", "read"])
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["no-clip", "clip"])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_formed_gradients_give_the_dense_bytes(self, monkeypatch, handoffs, l2, clip_norm,
+                                                   read):
+        # the word and label tables keep rows: duplicate ids within a
+        # scatter and across the label table's two, in unsorted order; with
+        # `read`, the traced run's path, every table takes the dense path
+        # after its first read
+        params, batch, group_b = row_tables_setup()
+        assert all(params.get(n).values.size > 2 * lanes.BLOCK for n in ("embed.word", "embed.label"))
+        on_lanes(monkeypatch, 1)
+        reference = adam_rounds(params, batch, group_b, l2, clip_norm, dense=True, read=False)
+        assert all(r[0] == [] for r in reference)
+        one, two = both_ways(monkeypatch, handoffs, lambda: adam_rounds(
+            params, batch, group_b, l2, clip_norm, dense=False, read=read))
+        tables = ["embed.label", "embed.word"]
+        assert [r[0] for r in one] == ([tables, [], []] if read else [tables] * 3)
+        if clip_norm is not None:
+            assert float.fromhex(reference[0][3][0]) > clip_norm  # clipping fires
+        for got in (one, two):
+            for k, (want, have) in enumerate(zip(reference, got, strict=True)):
+                for item, a, b in zip(("loss", "gradients", "norms", "values", "moments"),
+                                      want[1:], have[1:], strict=True):
+                    assert a == b, f"{item} after round {k + 1}"
+
+    def test_formed_gradients_with_lanes_switching_often(self, monkeypatch, handoffs):
+        # both lanes form blocks of one table's rows at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.test_formed_gradients_give_the_dense_bytes(monkeypatch, handoffs, 0.05, 1e-3, False)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_reading_forms_and_keeps_the_dense_gradient_and_setting_drops_rows(self):
+        params, batch, group_b = row_tables_setup()
+        table = params.get("embed.word")
+        mode = m.Mode(training=True, dropout_p=0.0, rng=None)
+        training.step_gradients(batch, params, mode, 0.05, group_b)
+        # what the byte tests rest on: repeated ids, out of order, in one
+        # scatter; two scatters into the label table
+        (ids, _), = table.rows.scatters
+        assert np.unique(ids).size < ids.size and (np.diff(ids) < 0).any()
+        assert len(params.get("embed.label").rows.scatters) == 2
+        formed = table.rows.form(0, table.values.shape[0], np.empty(table.values.shape))
+        grad = table.grad
+        assert table.rows is None and table.grad is grad
+        assert grad.tobytes() == formed.tobytes()
+        params.zero_grads()  # the dense path, until `.grad` is set
+        assert table.rows is None and table.grad is grad and not grad.any()
+        table.grad = None
+        params.zero_grads()
+        assert table.rows is not None and not table.rows.scatters
+        training.step_gradients(batch, params, mode, 0.05, group_b)
+        assert table.rows.scatters and table.rows.l2 == 0.05
+        table.grad = None
+        assert table.rows is None and table.grad is None
 
 
 class TestProducts:

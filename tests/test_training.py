@@ -473,6 +473,34 @@ class TestSteadyStateMemory:
         assert faults < self.FAULT_BOUND, f"{faults} minor faults over five steps of {batch.n_tokens} tokens"
 
 
+class TestRowGradientMemory:
+    def test_a_step_builds_no_table_sized_gradient(self):
+        # the word table (41,000 x 16, above 20 * BLOCK entries) keeps the
+        # rows its gather scatters into; the norm forms them leaf by leaf
+        # in the optimizer's work areas, so neither the clear, the two
+        # backward passes, the L2 pass nor the norm allocates a dense array
+        train_split, _, _ = make_synthetic_corpus(SyntheticSpec(n_train=8, n_dev=1, n_test=0), 7)
+        vocabs = build_vocabularies(train_split)
+        config = TrainingConfig(hidden=6, word_dim=16, char_dim=4, char_hidden=3, label_dim=4)
+        dims = replace(training._model_dims(config, vocabs), n_words=41000)
+        params = ModelParameters(dims, SplitMix64(7))
+        table = params.word_table
+        assert table.values.size >= 20 * lanes.BLOCK
+        batch = encode_corpus(train_split, vocabs)
+        groups = dual_parameter_groups(params)
+        optimizers = [Adam([params.get(n) for n in names], 0.01, clip_norm=5.0) for names in groups]
+        tracemalloc.start()
+        try:
+            training.step_gradients(batch, params, TRAIN_MODE, 1e-6, groups[1])
+            for opt in optimizers:
+                opt.grad_norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.values.nbytes, f"a step peaked at {peak} bytes"
+        assert table.rows is not None
+
+
 class TestTrainDual:
     def test_group_partition_is_exhaustive_and_disjoint(self):
         params, _, _ = zero_param_fixture()

@@ -162,7 +162,10 @@ class Tensor:
     makes and `take_rows` scatters into; its first dense write (from any
     other op) forms the dense array.  Reading `.grad` forms the dense
     array from those rows and keeps it, so the tensor then takes the
-    dense path until `.grad` is set; setting `.grad` drops the rows."""
+    dense path until `.grad` is set; setting `.grad` drops the rows.  A
+    leaf of at most `BLOCK` entries that an optimizer steps has its `.grad`
+    rebound by that optimizer's first pass to a view of a flat buffer
+    (`training.Adam`), which every later write then fills in place."""
 
     __slots__ = ("values", "_grad", "rows", "requires_grad", "node_id", "tape", "name")
 

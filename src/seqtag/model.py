@@ -318,10 +318,13 @@ class ModelParameters:
 
     def zero_grads(self):
         """Zero every tensor's gradient, so that each optimizer finds one per
-        tensor (see `autodiff.Tensor.zero_grad`).  A 2-D tensor above
-        `lanes.BLOCK` entries that has no dense `.grad` gets none here: a
-        table keeps the rows its gather scatters into it, and any other
-        tensor gets its `.grad` at its first write, in `backward`."""
+        tensor (see `autodiff.Tensor.zero_grad`): one fill per tensor, into
+        its slice of the optimizer's flat buffer where its `.grad` is that
+        view (a tensor of at most `lanes.BLOCK` entries, after the first
+        step).  A 2-D tensor above `BLOCK` entries that has no dense
+        `.grad` gets none here: a table keeps the rows its gather scatters
+        into it, and any other tensor gets its `.grad` at its first write,
+        in `backward`."""
         for t in self._tensors.values():
             t.zero_grad()
 

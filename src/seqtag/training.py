@@ -110,16 +110,72 @@ class Corpus:
     test: list[TaggedSentence] = field(default_factory=list)
 
 
+# A flat buffer of `Adam` holds at most this many entries (16 MiB): below
+# the 32 MiB up to which glibc serves an allocation from the kept heap
+# (see `autodiff._keep_freed_memory`), not from a fresh mapping
+FLAT_LIMIT = 1 << 21
+
+
+@dataclass(frozen=True)
+class FlatRun:
+    """Consecutive tensors of at most `lanes.BLOCK` entries each, whole,
+    in tensor order, at entries [lo, hi) of flat buffer `buffer`: at most
+    `BLOCK` entries in all.  `members` holds each tensor's index and its
+    entries [start, stop) within the run."""
+
+    buffer: int
+    lo: int
+    hi: int
+    members: tuple[tuple[int, int, int], ...]
+
+
+def flat_runs(sizes: Sequence[int]) -> tuple[list[int], list[FlatRun]]:
+    """The entry counts of the flat buffers that hold the arrays of at most
+    `lanes.BLOCK` entries among arrays of `sizes`, in order, and their runs
+    (`FlatRun`): a run ends where the next array would take it above
+    `BLOCK`, a buffer where it would take it above `FLAT_LIMIT`."""
+    buffers: list[int] = []
+    runs: list[list] = []  # [buffer, lo, hi, members]
+    for i, size in enumerate(sizes):
+        if size > lanes.BLOCK:
+            continue
+        new_buffer = not buffers or buffers[-1] + size > FLAT_LIMIT
+        if new_buffer:
+            buffers.append(0)
+        if new_buffer or runs[-1][2] - runs[-1][1] + size > lanes.BLOCK:
+            runs.append([len(buffers) - 1, buffers[-1], buffers[-1], []])
+        run = runs[-1]
+        run[3].append((i, run[2] - run[1], run[2] - run[1] + size))
+        run[2] += size
+        buffers[-1] += size
+    return buffers, [FlatRun(k, lo, hi, tuple(members)) for k, lo, hi, members in runs]
+
+
 class Adam:
     """Adaptive-moment gradient steps over one named parameter group, with
     optional global-norm clipping.  Step counts start at zero.  `group`
-    names the group in errors.  The moments are made by the first `step`,
-    after a backward pass has freed the step's activations, and that step
-    writes them directly, with the bytes a start from zero moments gives.
-    The norm and the update run on two lanes when a tensor is larger than
-    `lanes.BLOCK` (see `lanes`), each lane through two block-sized work
-    areas of its own: the norm squares leaves of at most `BLOCK` entries
-    into the first (`lanes.square_sum`), the update runs row blocks
+    names the group in errors.
+
+    The gradients, first and second moments of the tensors of at most
+    `lanes.BLOCK` entries live in flat buffers, one each per group (more
+    only past `FLAT_LIMIT` entries), cut into runs of whole tensors of at
+    most `BLOCK` entries (`flat_runs`); each such tensor's `.grad`,
+    `_m[i]` and `_v[i]` is a view of its slice.  The first pass (`grad_norm`
+    or `step`) makes the gradient buffer and binds each small `.grad` to
+    its view, so that the next backward passes and `zero_grads` write
+    there; a `.grad` set to another array since is copied in at the next
+    pass.  The moments are made by the first `step`, after a backward pass
+    has freed the step's activations, and that step writes them directly,
+    with the bytes a start from zero moments gives.  Values stay per
+    tensor.
+
+    The norm squares a run in one call and sums each of its tensors'
+    slices; the update runs its chain of operations once per run, then
+    subtracts each tensor's slice of the step from its values.  A larger
+    tensor goes whole to the norm (`lanes.square_sum`) and by row blocks
+    to the update.  Both passes run on two lanes when a tensor is larger
+    than `BLOCK` (see `lanes`), each lane through two block-sized work
+    areas of its own: the norm squares into the first, the update runs
     through both.  A table that keeps its gradient as rows
     (`autodiff.RowGradient`) has it formed in those areas as the passes
     go: the rows that cover a norm leaf in the second area, each update
@@ -141,14 +197,46 @@ class Adam:
         self._v: list[np.ndarray] | None = None
         self._sizes = [t.values.size for t in tensors]
         self._blocked = lanes.blocked(self._sizes)
-        self._pieces = lanes.row_blocks([t.values.shape for t in tensors])
-        self._piece_sizes = [size for *_, size in self._pieces]
+        self._buffers, self._runs = flat_runs(self._sizes)
+        # the flat gradient buffers and each small tensor's view, made by
+        # the first pass; the moment buffers, made by the first `step`
+        self._grads: list[np.ndarray] | None = None
+        self._views: list[tuple[int, np.ndarray]] = []
+        self._moments: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+        # both passes take the runs first, then the larger tensors: the norm
+        # each whole, the update by row blocks (index among the larger
+        # tensors, rows, entries)
+        self._large = [i for i, size in enumerate(self._sizes) if size > lanes.BLOCK]
+        self._rows = lanes.row_blocks([tensors[i].values.shape for i in self._large])
+        runs = [run.hi - run.lo for run in self._runs]
+        self._norm_sizes = runs + [self._sizes[i] for i in self._large]
+        self._piece_sizes = runs + [size for *_, size in self._rows]
+        # where each tensor's sum comes back among the norm's per-tensor sums
+        where = {i: k for k, i in enumerate(
+            [i for run in self._runs for i, _, _ in run.members] + self._large)}
+        self._order = [where[i] for i in range(len(tensors))]
         # a work area holds the widest update piece, and a whole norm leaf
         # with the two part rows that a leaf formed from rows may cut
         widest = max((t.values.shape[1] for t in tensors if t.values.ndim == 2), default=0)
         width = max(self._piece_sizes + [lanes.BLOCK + 2 * widest if self._blocked else 0])
         self._work = [(np.empty(width), np.empty(width)) for _ in range(2 if self._blocked else 1)]
+        # per lane and run, each member's index and its slice of the lane's
+        # first work area, in its own shape: where the norm squares it and
+        # the update leaves its step
+        self._areas = [[[(i, area[start:stop].reshape(tensors[i].values.shape))
+                         for i, start, stop in run.members] for run in self._runs]
+                       for area, _ in self._work]
         self._norm = None
+
+    def _slices(self, buffers: list[np.ndarray]) -> list[np.ndarray | None]:
+        """Per tensor, the view of its slice of `buffers` in its own shape,
+        or None for a tensor above `BLOCK` entries."""
+        views: list[np.ndarray | None] = [None] * len(self.tensors)
+        for run in self._runs:
+            flat = buffers[run.buffer][run.lo:run.hi]
+            for i, start, stop in run.members:
+                views[i] = flat[start:stop].reshape(self.tensors[i].values.shape)
+        return views
 
     def grad_norm(self) -> float:
         """Global L2 norm of the group's `.grad`, kept for the next `step`:
@@ -165,18 +253,41 @@ class Adam:
             return lanes.square_sum(g, area)
 
         def sums(lo, hi, lane):
-            return [square_sum(g, *self._work[lane]) for g in grads[lo:hi]]
+            out = []
+            for k in range(lo, hi):
+                if k < len(self._runs):
+                    run = self._runs[k]
+                    g = self._grads[run.buffer][run.lo:run.hi]
+                    np.multiply(g, g, out=self._work[lane][0][:g.size])
+                    out += [float(np.add.reduce(square, axis=None))
+                            for _, square in self._areas[lane][k]]
+                else:
+                    out.append(square_sum(grads[k - len(self._runs)], *self._work[lane]))
+            return out
 
-        total = np.sqrt(sum(lanes.run(sums, self._sizes, self._blocked)))
+        per_piece = lanes.run(sums, self._norm_sizes, self._blocked)
+        total = np.sqrt(sum(per_piece[k] for k in self._order))
         if not np.isfinite(total):
             raise NumericError(f"gradient norm of group {self.group} is {total}")
         self._norm = total
         return total
 
     def _gradients(self) -> list:
-        """Each tensor's dense `.grad`, or its `RowGradient`, compacted here
-        before any lane forms from it."""
-        return [t.grad if t.rows is None else t.rows.compact() for t in self.tensors]
+        """Each larger tensor's dense `.grad`, or its `RowGradient`,
+        compacted here before any lane forms from it, in tensor order.  A
+        small tensor's `.grad` is its view of the flat buffers from here on:
+        one that is not the view is copied in and rebound to it."""
+        if self._grads is None:
+            self._grads = [np.empty(size) for size in self._buffers]
+            self._views = [(i, view) for i, view in enumerate(self._slices(self._grads))
+                           if view is not None]
+        for i, view in self._views:
+            t = self.tensors[i]
+            if t.grad is not view:
+                np.copyto(view, t.grad)
+                t.grad = view
+        large = [self.tensors[i] for i in self._large]
+        return [t.grad if t.rows is None else t.rows.compact() for t in large]
 
     def step(self):
         if not self.tensors:
@@ -188,50 +299,68 @@ class Adam:
             factor = self.clip_norm / total
         first = self._m is None
         if first:
-            self._m = [np.empty(t.values.shape) for t in self.tensors]
-            self._v = [np.empty(t.values.shape) for t in self.tensors]
+            self._moments = ([np.empty(size) for size in self._buffers],
+                             [np.empty(size) for size in self._buffers])
+            self._m, self._v = (
+                [np.empty(t.values.shape) if view is None else view
+                 for t, view in zip(self.tensors, self._slices(flat))]
+                for flat in self._moments)
         self.step_count += 1
         grads = self._gradients()
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
 
         # m += (1-b1)(g - m); v += (1-b2)(g*g - v);
-        # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time;
+        # theta -= lr (m/bc1) / (sqrt(v/bc2) + eps), one operation at a time,
+        # the step lr (m/bc1) / (sqrt(v/bc2) + eps) left in `a`;
         # from zero moments the first two are m = g(1-b1) + 0 and
-        # v = (g*g)(1-b2), the + 0 turning -0.0 into 0.0 as 0 + g(1-b1) does;
-        # a block formed from rows is formed before its values move
+        # v = (g*g)(1-b2), the + 0 turning -0.0 into 0.0 as 0 + g(1-b1) does
+        def chain(grad, m, v, a, b):
+            g = grad if factor == 1.0 else np.multiply(grad, factor, out=a)
+            if first:
+                np.multiply(g, 1.0 - self.beta1, out=m)
+                m += 0.0
+                np.multiply(g, g, out=v)
+                v *= 1.0 - self.beta2
+            else:
+                np.subtract(g, m, out=b)
+                b *= 1.0 - self.beta1
+                m += b
+                np.multiply(g, g, out=b)
+                b -= v
+                b *= 1.0 - self.beta2
+                v += b
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+
+        # a run goes through the chain whole, then each of its tensors
+        # takes its slice of the step; a block formed from rows is formed
+        # before its values move
         def update(lo, hi, lane):
             work_a, work_b = self._work[lane]
-            for i, rows, size in self._pieces[lo:hi]:
-                t, grad, mom, vel = self.tensors[i], grads[i], self._m[i], self._v[i]
-                theta, m, v = ((t.values, mom, vel) if rows is None
-                               else (t.values[rows], mom[rows], vel[rows]))
+            flat_m, flat_v = self._moments
+            for k in range(lo, hi):
+                if k < len(self._runs):
+                    run = self._runs[k]
+                    n, at = run.hi - run.lo, slice(run.lo, run.hi)
+                    chain(self._grads[run.buffer][at], flat_m[run.buffer][at],
+                          flat_v[run.buffer][at], work_a[:n], work_b[:n])
+                    for i, step in self._areas[lane][k]:
+                        theta = self.tensors[i].values
+                        theta -= step
+                    continue
+                j, rows, size = self._rows[k - len(self._runs)]
+                i = self._large[j]
+                grad, theta = grads[j], self.tensors[i].values[rows]
                 a = work_a[:size].reshape(theta.shape)
                 b = work_b[:size].reshape(theta.shape)
-                if isinstance(grad, ad.RowGradient):
-                    grad = grad.form(rows.start, rows.stop, a)
-                elif rows is not None:
-                    grad = grad[rows]
-                g = grad if factor == 1.0 else np.multiply(grad, factor, out=a)
-                if first:
-                    np.multiply(g, 1.0 - self.beta1, out=m)
-                    m += 0.0
-                    np.multiply(g, g, out=v)
-                    v *= 1.0 - self.beta2
-                else:
-                    np.subtract(g, m, out=b)
-                    b *= 1.0 - self.beta1
-                    m += b
-                    np.multiply(g, g, out=b)
-                    b -= v
-                    b *= 1.0 - self.beta2
-                    v += b
-                np.divide(m, bc1, out=a)
-                a *= self.lr
-                np.divide(v, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
+                grad = (grad.form(rows.start, rows.stop, a) if isinstance(grad, ad.RowGradient)
+                        else grad[rows])
+                chain(grad, self._m[i][rows], self._v[i][rows], a, b)
                 theta -= a
             return []
 

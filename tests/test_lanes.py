@@ -448,6 +448,118 @@ class TestRowGradients:
         assert table.rows is None and table.grad is None
 
 
+def with_signed_zeros(array: np.ndarray) -> np.ndarray:
+    flat = array.reshape(-1)
+    flat[:4] = [0.0, -0.0, 0.0, -0.0]
+    flat[5::7] = -0.0
+    return array
+
+
+def flat_rounds(clip_norm):
+    """Three dual-regime rounds over `row_tables_setup`'s model, whose
+    group A also steps two tensors from outside it, one of exactly `BLOCK`
+    entries (flat) and one of `BLOCK + 1` (not).  Each round asserts that
+    each group's norm and the bytes of its values and moments equal a
+    per-tensor numpy reference in the chain's operation order; returns the
+    rounds' norms and the final values."""
+    params, batch, group_b = row_tables_setup()
+    names_a, names_b = training.dual_parameter_groups(params)
+    rng = SplitMix64(29)
+    edge = ad.Tensor(rng.uniform_array((lanes.BLOCK // 64, 64), -1.0, 1.0), requires_grad=True)
+    over = ad.Tensor(rng.uniform_array((lanes.BLOCK + 1,), -1.0, 1.0), requires_grad=True)
+    group_a = [params.get(n) for n in names_a]
+    small = [t for t in group_a if t.values.size <= lanes.BLOCK]
+    for t in small + [edge, over]:
+        t.values.reshape(-1)[:2] = [0.0, -0.0]
+    groups = [group_a[:3] + [edge] + group_a[3:] + [over], [params.get(n) for n in names_b]]
+    assert any(t.values.size > lanes.BLOCK and t.values.ndim == 2 for t in group_a)
+    opts = [Adam(tensors, 0.01, clip_norm=clip_norm) for tensors in groups]
+    refs = [([t.values.copy() for t in tensors], [np.zeros(t.values.shape) for t in tensors],
+             [np.zeros(t.values.shape) for t in tensors]) for tensors in groups]
+    mode = m.Mode(training=True, dropout_p=0.2, rng=SplitMix64(5))
+    norms = []
+    for step in range(1, 4):
+        training.step_gradients(batch, params, mode, 0.05, group_b)
+        # the edge tensor's gradient is set anew in rounds 1 and 3 and
+        # written in place in round 2; a small model tensor's is set anew
+        # from round 2 on, after its view was written
+        grad = with_signed_zeros(rng.uniform_array(edge.values.shape, -2.0, 2.0))
+        if step == 2:
+            edge.grad[...] = grad
+        else:
+            edge.grad = grad
+        over.grad = with_signed_zeros(rng.uniform_array(over.values.shape, -2.0, 2.0))
+        if step > 1:
+            small[1].grad = small[1].grad * -0.5
+        grads = [[t.grad.copy() if t.rows is None
+                  else t.rows.form(0, t.values.shape[0], np.empty(t.values.shape))
+                  for t in tensors] for tensors in groups]
+        got = [opt.grad_norm() for opt in opts]
+        for opt in opts:
+            opt.step()
+        want = [np.sqrt(sum(float(np.multiply(g, g).sum()) for g in gs)) for gs in grads]
+        assert [n.hex() for n in got] == [n.hex() for n in want], f"norms in round {step}"
+        for opt, tensors, gs, (values, moments, velocities) in zip(opts, groups, grads, refs,
+                                                                  strict=True):
+            zero_start_step(gs, values, moments, velocities, step, clip_norm, 0.01)
+            for name, have, ref in (("values", [t.values for t in tensors], values),
+                                    ("m", opt._m, moments), ("v", opt._v, velocities)):
+                assert [a.tobytes() for a in have] == [a.tobytes() for a in ref], \
+                    f"{name} of group {opts.index(opt)} after round {step}"
+        norms.append(got)
+    # the small gradients are views of the flat buffer, the others are not
+    flat = opts[0]._grads[0]
+    assert all(np.shares_memory(t.grad, flat) == (t.values.size <= lanes.BLOCK)
+               for t in groups[0] if t.rows is None)
+    assert len(opts[0]._grads) == 1 and edge.values.size == lanes.BLOCK
+    return norms, [t.values.tobytes() for tensors in groups for t in tensors]
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["no-clip", "clip"])
+    def test_flat_path_gives_the_per_tensor_bytes(self, monkeypatch, handoffs, clip_norm):
+        (norms, values1), (_, values2) = both_ways(monkeypatch, handoffs,
+                                                   lambda: flat_rounds(clip_norm))
+        if clip_norm is not None:
+            assert all(n > clip_norm for n in norms[0])  # clipping fires
+        assert values1 == values2
+
+    def test_first_pass_binds_each_small_gradient_to_its_slice(self):
+        tensors = tensors_with_grads(31)
+        given = [t.grad for t in tensors]
+        opt = Adam(tensors, lr=0.01)
+        assert opt._grads is None
+        opt.grad_norm()
+        (flat,) = opt._grads
+        for t, g in zip(tensors, given, strict=True):
+            if t.values.size <= lanes.BLOCK:
+                assert t.grad is not g and np.shares_memory(t.grad, flat)
+                assert t.grad.shape == t.values.shape and t.grad.tobytes() == g.tobytes()
+            else:
+                assert t.grad is g
+        assert opt._m is None and opt._v is None
+        opt.step()
+        for t, mom, vel in zip(tensors, opt._m, opt._v, strict=True):
+            small = t.values.size <= lanes.BLOCK
+            assert mom.shape == vel.shape == t.values.shape
+            assert np.shares_memory(mom, opt._moments[0][0]) == small
+            assert np.shares_memory(vel, opt._moments[1][0]) == small
+
+    def test_runs_cut_at_block_and_buffers_at_the_flat_limit(self):
+        block = lanes.BLOCK
+        buffers, runs = training.flat_runs([5, block + 1, block - 5, 6, block, 3])
+        assert buffers == [2 * block + 9]
+        assert [(r.lo, r.hi, r.members) for r in runs] == [
+            (0, block, ((0, 0, 5), (2, 5, block))),
+            (block, block + 6, ((3, 0, 6),)),
+            (block + 6, 2 * block + 6, ((4, 0, block),)),
+            (2 * block + 6, 2 * block + 9, ((5, 0, 3),))]
+        count = 3 * training.FLAT_LIMIT // block
+        buffers, runs = training.flat_runs([block] * count)
+        assert buffers == [training.FLAT_LIMIT] * 3
+        assert [r.buffer for r in runs] == [k * 3 // count for k in range(count)]
+
+
 class TestProducts:
     # the fixtures' settings hold for every example; `handoffs` is reset in each
     @settings(max_examples=40, deadline=None,
@@ -620,7 +732,7 @@ class TestThreadHygiene:
         with np.errstate(over="ignore", invalid="ignore"):
             opt.step()
         assert handoffs[0] > 0
-        assert 0 < lanes.cut(opt._piece_sizes) < len(opt._pieces)
+        assert 0 < lanes.cut(opt._piece_sizes) < len(opt._piece_sizes)
         for t in tensors:  # every piece overflowed, on both lanes
             assert not np.isfinite(t.values).any()
         with np.errstate(over="ignore"):

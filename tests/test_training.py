@@ -272,6 +272,40 @@ class TestAdam:
         assert peak - made < 3 * block_area, f"grad_norm peaked {peak - made} bytes above"
         assert held - made < block_area
 
+    def test_no_group_sized_memory_before_the_first_pass(self):
+        # the flat buffers of many small tensors are made by the first pass
+        # (the gradients) and the first step (the moments), not by `Adam(...)`
+        tensors = [ad.Tensor(np.ones((40, 50)), requires_grad=True) for _ in range(96)]
+        for t in tensors:
+            t.grad = np.full(t.values.shape, 0.5)
+        group = sum(t.values.nbytes for t in tensors)
+        tracemalloc.start()
+        try:
+            opt = Adam(tensors, lr=0.01)
+            made, _ = tracemalloc.get_traced_memory()
+            opt.grad_norm()
+            normed, _ = tracemalloc.get_traced_memory()
+            opt.step()
+            stepped, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert made < group / 2, f"Adam(...) allocated {made} bytes"
+        assert group <= normed - made < group + group / 8
+        assert 2 * group <= stepped - normed < 2 * group + group / 8
+
+    def test_flat_buffers_stay_below_the_mmap_threshold(self):
+        # glibc maps an allocation of 32 MiB or more afresh: every flat
+        # buffer of a paper-dims model stays on the kept heap
+        assert training.FLAT_LIMIT * 8 < 32 << 20
+        dims = ModelDims(n_words=20074, n_chars=80, n_labels=20, n_feats=(12,))
+        params = ModelParameters(dims, rng=None)
+        flat = 0
+        for names in dual_parameter_groups(params):
+            opt = Adam([params.get(n) for n in names], lr=0.01)
+            assert opt._buffers and max(opt._buffers) * 8 < 32 << 20
+            flat += sum(size <= lanes.BLOCK for size in opt._sizes)
+        assert (flat, len(params.names())) == (62, 97)
+
     @pytest.mark.parametrize("clip_norm", [None, 1e9, 0.5])
     def test_step_matches_reference_formula_bit_for_bit(self, clip_norm):
         rng = SplitMix64(21)

@@ -230,10 +230,19 @@ class Tensor:
         return f"Tensor{tag}(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-def _emit(values, inputs, backward_fn) -> Tensor:
-    out = Tensor(values)
+def _recording(inputs) -> Tape | None:
+    """The tape an op on `inputs` is recorded on: the active one, when some
+    input requires a gradient; None when the op computes values only."""
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
+def _emit(values, inputs, backward_fn) -> Tensor:
+    out = Tensor(values)
+    tape = _recording(inputs)
+    if tape is not None:
         out.requires_grad = True
         out.tape = tape
         tape._entries.append((out, inputs, backward_fn))
@@ -318,11 +327,16 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.values * c, (a,), lambda g, want: (g * c,))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so exp never
-    overflows; both branches share e = exp(-|x|)."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    overflows; both branches share e = exp(-|x|), and the numerator
+    max(e, x >= 0) is 1 for x >= 0 (where e <= 1) and e below.  Written
+    into `out` when given, which may be `x` itself."""
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -532,7 +546,16 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     for the sequences the position holds: a reversed scan so reaches each
     sequence at its own last position with its `h0` still in place.  The
     x W products are one GEMM per gate over the whole stack, taken before
-    the loop.  Returns the (rows, H) states in stack order.  The backward
+    the loop.  The z and r gates share one (2, ., H) block: their x W
+    products are its two halves, each step writes h U_z and h U_r into the
+    halves of one (2, k, H) block, and one add, one bias add and one
+    sigmoid cover both gates.  Returns the (rows, H) states in stack order.
+
+    A recorded scan (an active tape and an input that requires a gradient,
+    the test `_emit` applies) also keeps what its backward rule reads,
+    written by each step into stack-sized arrays: the previous state, z,
+    r and the candidate.  An unrecorded one (tagging, evaluation, a
+    finite-difference evaluation) keeps only the states.  The backward
     pass is backpropagation through time with whole-stack weight GEMMs.
     Every product goes through `lanes.matmul`, so a large one runs on two
     lanes."""
@@ -547,20 +570,38 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
             or any(t.values.shape != (hid,) for t in b)):
         raise DimensionError(f"gru_scan: x {xv.shape}, h0 {h0.values.shape}, w {[t.values.shape for t in w]}, "
                              f"u {[t.values.shape for t in u]}, b {[t.values.shape for t in b]}")
-    (u_z, u_r, u_h), (b_z, b_r, b_h) = (t.values for t in u), (t.values for t in b)
-    xw_z, xw_r, xw_h = (lanes.matmul(xv, t.values) for t in w)
+    inputs = (x, h0, *w, *u, *b)
+    keep = _recording(inputs) is not None
+    u_z, u_r, u_h = (t.values for t in u)
+    b_h = b[2].values
+    xw_zr = np.empty((2, rows, hid))
+    for t, half in zip(w[:2], xw_zr):
+        lanes.matmul(xv, t.values, out=half)
+    xw_h = lanes.matmul(xv, w[2].values)
+    b_zr = np.stack([b[0].values, b[1].values])[:, None]
+    hu_zr = np.empty((2, bsz, hid))
     # every row is written once: by its own position's step
-    prev, states, zs, rs, cands = (np.empty((rows, hid)) for _ in range(5))
+    states = np.empty((rows, hid))
+    if keep:
+        prev, zrs, cands = np.empty((rows, hid)), np.empty((2, rows, hid)), np.empty((rows, hid))
     if reverse:
         steps.reverse()
     h = h0.values.copy()
     for lo, hi, k in steps:
         hk = h[:k]
-        prev[lo:hi] = hk
-        z = zs[lo:hi] = _sigmoid((xw_z[lo:hi] + lanes.matmul(hk, u_z)) + b_z)
-        r = rs[lo:hi] = _sigmoid((xw_r[lo:hi] + lanes.matmul(hk, u_r)) + b_r)
-        c = cands[lo:hi] = np.tanh((xw_h[lo:hi] + lanes.matmul(r * hk, u_h)) + b_h)
+        if keep:
+            prev[lo:hi] = hk
+        lanes.matmul(hk, u_z, out=hu_zr[0, :k])
+        lanes.matmul(hk, u_r, out=hu_zr[1, :k])
+        zr = np.add(xw_zr[:, lo:hi], hu_zr[:, :k])
+        zr += b_zr
+        z, r = _sigmoid(zr, out=zrs[:, lo:hi] if keep else zr)
+        c = np.tanh((xw_h[lo:hi] + lanes.matmul(r * hk, u_h)) + b_h,
+                    out=cands[lo:hi] if keep else None)
         h[:k] = states[lo:hi] = (1.0 - z) * hk + z * c
+    if not keep:
+        return Tensor(states)
+    zs, rs = zrs
 
     def back(g, want):
         da = np.empty((rows, 3 * hid))
@@ -592,7 +633,7 @@ def gru_scan(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
                 lanes.matmul((rs * prev).T, da[:, 2 * hid:]) if want[7] else None,
                 *gates(want[8:], lambda: da.sum(axis=0)))
 
-    return _emit(states, (x, h0, *w, *u, *b), back)
+    return _emit(states, inputs, back)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: SplitMix64 | None) -> Tensor:

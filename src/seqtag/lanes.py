@@ -328,20 +328,22 @@ def blas_threads() -> int | None:
     return max(counts, default=None)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over 2-D operands, byte for byte.  A large product runs on two
-    lanes: each computes a contiguous run of the output's rows into the one
-    output the caller allocates (see the module notes for when)."""
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over 2-D operands, byte for byte, written into `out` (a
+    C-contiguous array of the product's shape) when given.  A large product
+    runs on two lanes: each computes a contiguous run of the output's rows
+    into the one output (see the module notes for when)."""
     rows, inner = a.shape
     cols = b.shape[1]
     # one comparison for a product too small to split
     if rows * inner * cols <= 2 * SPLIT_MACS:
-        return a @ b
+        return np.matmul(a, b, out=out)
     half = SPLIT_ROWS * round(rows / (2 * SPLIT_ROWS))
     if (min(half, rows - half) * inner * cols <= SPLIT_MACS or not two_lanes(True)
             or blas_threads() != 1):
-        return a @ b
-    out = np.empty((rows, cols), np.result_type(a, b))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((rows, cols), np.result_type(a, b))
     pair(lambda: np.matmul(a[:half], b, out=out[:half]),
          lambda: np.matmul(a[half:], b, out=out[half:]))
     return out

@@ -481,24 +481,32 @@ def step_gradients(sentences: list[EncodedSentence], params: ModelParameters, mo
 # inference and evaluation
 
 
-# `predict_corpus` tags consecutive sentences in batches of at most this
-# many tokens; a longer sentence runs alone
+# `predict_corpus` tags sentences in batches of at most this many tokens;
+# a longer sentence runs alone
 PREDICT_TOKENS = 2000
 
 
 def predict_corpus(params: ModelParameters, sentences: list[EncodedSentence]) -> list[np.ndarray]:
-    """Greedy combined predictions per sentence, order-preserving:
-    consecutive sentences run as one batch of at most `PREDICT_TOKENS`
-    tokens."""
-    out: list[np.ndarray] = []
-    start = tokens = 0
-    for end, sent in enumerate(sentences):
-        if end > start and tokens + len(sent) > PREDICT_TOKENS:
-            out += m.predict_batch(params, sentences[start:end])
-            start, tokens = end, 0
-        tokens += len(sent)
-    if start < len(sentences):
-        out += m.predict_batch(params, sentences[start:])
+    """Greedy combined predictions per sentence, in input order.  The
+    sentences are taken in stable length order, shortest first, and each
+    batch runs until the next sentence would take it past `PREDICT_TOKENS`
+    tokens: sentences of like length share a batch, so a batch takes fewer
+    greedy positions than one cut from the input order."""
+    out: list[np.ndarray | None] = [None] * len(sentences)
+
+    def tag(ids: list[int]):
+        for i, pred in zip(ids, m.predict_batch(params, [sentences[i] for i in ids])):
+            out[i] = pred
+
+    batch, tokens = [], 0
+    for i in sorted(range(len(sentences)), key=lambda i: len(sentences[i])):
+        if batch and tokens + len(sentences[i]) > PREDICT_TOKENS:
+            tag(batch)
+            batch, tokens = [], 0
+        batch.append(i)
+        tokens += len(sentences[i])
+    if batch:
+        tag(batch)
     return out
 
 

@@ -131,6 +131,8 @@ class TestElementwise:
             rng.uniform_array((500_000,), -40.0, 40.0),
             rng.uniform_array((500_000,), -800.0, 800.0),
             [0.0, -0.0, 710.0, -710.0, 750.0, -750.0, 1e308, -1e308, np.inf, -np.inf],
+            # results that underflow: subnormal, then zero
+            [-708.5, -709.0, -744.0, -745.1, -745.2, -746.0, -1e5, -5e-324, 5e-324],
         ])
         with np.errstate(over="raise"):
             expected = np.empty_like(x)
@@ -140,6 +142,31 @@ class TestElementwise:
             expected[~pos] = ex / (1.0 + ex)
             np.testing.assert_array_equal(ad._sigmoid(x), expected)
             np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).values, expected)
+            # written into `out`, and in place
+            out = np.full_like(x, 7.0)
+            assert ad._sigmoid(x, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            inplace = x.copy()
+            ad._sigmoid(inplace, out=inplace)
+            assert inplace.tobytes() == expected.tobytes()
+            # a non-contiguous (2, k, H) view, as the GRU's gate block gives
+            # it, read and written
+            block = x[:2 * 351 * 600].reshape(2, 351, 600)
+            view, want = block[:, 10:148, :300], expected[:2 * 351 * 600].reshape(2, 351, 600)
+            assert not view.flags.contiguous
+            assert ad._sigmoid(view).tobytes() == want[:, 10:148, :300].tobytes()
+            store = np.full((2, 351, 600), 7.0)
+            ad._sigmoid(view, out=store[:, 10:148, :300])
+            assert store[:, 10:148, :300].tobytes() == want[:, 10:148, :300].tobytes()
+            assert np.all(store[:, :10] == 7.0) and np.all(store[:, :, 300:] == 7.0)
+        # NaN takes neither branch; it gets the bits of the branches' shared
+        # form with e = exp(-|x|), whatever its sign
+        x = np.array([np.nan, -np.nan, 1.0, -1.0])
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        assert np.isnan(ad._sigmoid(x)[:2]).all()
+        assert ad._sigmoid(x).tobytes() == expected.tobytes()
+        assert ad._sigmoid(x, out=np.zeros(4)).tobytes() == expected.tobytes()
 
     def test_sigmoid_gradient_matches_central_difference(self):
         x = Tensor([1.5], requires_grad=True)

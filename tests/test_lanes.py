@@ -590,6 +590,36 @@ class TestProducts:
         assert handoffs[0] == 1
         assert split.tobytes() == (a @ b).tobytes()
 
+    @pytest.mark.parametrize("blas", ["one thread", "default threads"])
+    def test_gate_block_products_equal_separate_products(self, request, monkeypatch, handoffs,
+                                                         blas):
+        # as `gru_scan` forms its z and r gates: the x W products into the
+        # halves of a (2, rows, H) block, each step's h U products into the
+        # first k rows of the halves of a taller (2, ., H) block; from one row
+        # (numpy's gemv path) to past the split size (351 x 630 x 600)
+        if blas == "one thread":
+            request.getfixturevalue("one_blas_thread")
+        on_lanes(monkeypatch, 2)
+        rng = np.random.default_rng(11)
+        handoffs[0] = 0
+        for k in (1, 2, 23, 138, 351):
+            for hid, width in ((6, 8), (24, 40), (300, 630), (600, 630)):
+                x, h = rng.standard_normal((k, width)), rng.standard_normal((k, hid))
+                w = [rng.standard_normal((width, hid)) for _ in range(2)]
+                u = [rng.standard_normal((hid, hid)) for _ in range(2)]
+                xw_block, hu_block = np.empty((2, k, hid)), np.empty((2, k + 5, hid))
+                for gate in range(2):
+                    half = xw_block[gate]
+                    assert lanes.matmul(x, w[gate], out=half) is half
+                    lanes.matmul(h, u[gate], out=hu_block[gate, :k])
+                for gate in range(2):
+                    assert xw_block[gate].tobytes() == (x @ w[gate]).tobytes()
+                    assert xw_block[gate].tobytes() == lanes.matmul(x, w[gate]).tobytes()
+                    assert hu_block[gate, :k].tobytes() == (h @ u[gate]).tobytes()
+                    assert hu_block[gate, :k].tobytes() == lanes.matmul(h, u[gate]).tobytes()
+        # the largest products split where BLAS runs one thread, and only there
+        assert (handoffs[0] > 0) == (lanes.blas_threads() == 1)
+
     def test_a_product_splits_only_when_each_half_is_large(self, monkeypatch, handoffs,
                                                            one_blas_thread):
         on_lanes(monkeypatch, 2)

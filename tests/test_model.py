@@ -1,6 +1,8 @@
 """Network behaviour: shapes, determinism, context sensitivity, the
 combination rule, and agreement with the tape-free oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,67 @@ class TestGruCell:
                 backward(build())
         fd = ad.numeric_gradients(lambda: (build(),), cell.b_h)[0]
         assert ad.relative_error(cell.b_h.grad, fd) > 1e-3
+
+
+class TestUnrecordedScan:
+    """A scan no tape records keeps only its states: the same bytes as a
+    recorded one, without the arrays its backward rule reads."""
+
+    @staticmethod
+    def _setup(input_dim, hidden, lengths, seed=31):
+        store = m._Store(SplitMix64(seed))
+        cell = GruCell(store, "cell", input_dim, hidden)
+        rng = SplitMix64(seed + 1)
+        for t in (cell.b_z, cell.b_r, cell.b_h):
+            t.values = rng.uniform_array(t.values.shape, -0.5, 0.5)
+        running = Packing(lengths).running
+        x = Tensor(rng.uniform_array((sum(running), input_dim), -1.0, 1.0), requires_grad=True)
+        h0 = Tensor(rng.uniform_array((running[0], hidden), -1.0, 1.0), requires_grad=True)
+        return cell, x, h0, running, [x, h0, *store.tensors.values()]
+
+    # (input, hidden): the desk char and word widths, and the paper decoder's
+    @pytest.mark.parametrize("input_dim, hidden", [(8, 6), (40, 24), (630, 300)])
+    # equal, ragged, and one row per step (numpy's gemv path)
+    @pytest.mark.parametrize("lengths", [(3, 3, 3), (4, 3, 3, 1), (5,)],
+                             ids=["equal", "ragged", "k1"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_states_equal_with_a_tape_without_one_and_all_frozen(self, input_dim, hidden,
+                                                                 lengths, reverse):
+        cell, x, h0, running, inputs = self._setup(input_dim, hidden, lengths)
+        with Tape() as tape:
+            recorded = cell.scan(x, h0, running, reverse)
+        assert len(tape) == 1
+        untaped = cell.scan(x, h0, running, reverse)
+        for t in inputs:
+            t.requires_grad = False
+        with Tape() as tape:
+            frozen = cell.scan(x, h0, running, reverse)
+        assert len(tape) == 0
+        assert untaped.values.tobytes() == recorded.values.tobytes()
+        assert frozen.values.tobytes() == recorded.values.tobytes()
+
+    def test_unrecorded_scan_makes_none_of_the_saved_arrays(self):
+        # many steps of two rows: a step's own arrays are tiny beside a
+        # stack-sized (rows, H) array
+        cell, x, h0, running, _ = self._setup(8, 64, (200, 200))
+        stack = 400 * 64 * 8
+
+        def peak(record: bool) -> int:
+            tracemalloc.start()
+            try:
+                if record:
+                    with Tape():
+                        cell.scan(x, h0, running)
+                else:
+                    cell.scan(x, h0, running)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # both: the x W products (three stacks) and the states; recorded:
+        # also the previous states, z, r and the candidates
+        assert peak(True) >= 8 * stack
+        assert peak(False) < 5 * stack
 
 
 class TestBiGru:

@@ -794,15 +794,22 @@ class TestPredictCorpus:
         preds = training.predict_corpus(params, enc)
         monkeypatch.undo()
 
-        assert [s for batch in batches for s in batch] == enc
+        # consecutive sentences of the stable length order, shortest first
+        order = sorted(range(len(enc)), key=lambda i: len(enc[i]))
+        assert order != list(range(len(enc)))  # the input is not in length order
+        assert [id(s) for batch in batches for s in batch] == [id(enc[i]) for i in order]
         sizes = [sum(len(s) for s in batch) for batch in batches]
-        assert len(batches) >= 5
-        assert [batch for batch in batches if len(batch[0]) > training.PREDICT_TOKENS] == [[enc[350]]]
+        # length order packs the short sentences into three batches
+        assert len(batches) >= 4
+        # the long sentence runs alone, last
+        assert [batch for batch in batches if len(batch[-1]) > training.PREDICT_TOKENS] == [[enc[350]]]
+        assert batches[-1] == [enc[350]]
         for batch, size in zip(batches, sizes):
             assert size <= training.PREDICT_TOKENS or len(batch) == 1
         # each batch is cut only where the next sentence would not fit
         for size, nxt in zip(sizes, batches[1:]):
             assert size + len(nxt[0]) > training.PREDICT_TOKENS
+        # predictions come back in input order
         assert [len(p) for p in preds] == [len(s) for s in enc]
         # the long sentence was tagged alone already
         for sent, got in zip(enc[:350] + enc[351:], preds[:350] + preds[351:]):

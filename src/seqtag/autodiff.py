@@ -315,14 +315,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise DimensionError(f"add: incompatible shapes {av.shape} and {bv.shape}")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.shape != b.values.shape:
-        raise DimensionError(f"mul: incompatible shapes {a.values.shape} and {b.values.shape}")
-    av, bv = a.values, b.values
-    return _emit(av * bv, (a, b), lambda g, want: (g * bv if want[0] else None,
-                                                   g * av if want[1] else None))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.values * c, (a,), lambda g, want: (g * c,))
 
@@ -337,11 +329,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     num = np.maximum(e, x >= 0, out=out)
     e += 1.0
     return np.divide(num, e, out=num)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.values)
-    return _emit(out, (a,), lambda g, want: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:

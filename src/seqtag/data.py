@@ -8,7 +8,9 @@ columns, and the label column.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -50,7 +52,7 @@ class TaggedSentence:
         n = len(self.tokens)
         if n == 0:
             raise ContractError("empty sentence")
-        if any(tok == "" for tok in self.tokens):
+        if "" in self.tokens:
             raise ContractError("empty token string")
         if self.labels is not None and len(self.labels) != n:
             raise ContractError(f"{n} tokens but {len(self.labels)} labels")
@@ -182,36 +184,36 @@ class VocabSet:
     feats: list[Vocabulary] = field(default_factory=list)
 
 
+def _vocabulary(strings, with_boundary: bool = False) -> Vocabulary:
+    vocab = Vocabulary(with_boundary)
+    for s in strings:
+        vocab.add(s)
+    return vocab
+
+
 def build_vocabularies(train: list[TaggedSentence], min_count: int = 1) -> VocabSet:
-    """Vocabularies over a training split.
+    """Vocabularies over a training split, ids in first-occurrence order.
 
     Words below min_count fold into UNK.  Characters, labels, and features
-    are exhaustive; the label vocabulary is never pruned.
+    are exhaustive; the label vocabulary is never pruned.  Tokens are
+    counted once; the words and characters then come from the distinct
+    tokens in the order each first occurs, which gives the ids a walk over
+    every token would.
     """
     if not train:
         raise ContractError("cannot build vocabularies from an empty training set")
-    counts: dict[str, int] = {}
+    counts = Counter(chain.from_iterable(sent.tokens for sent in train))
+    feats: list[dict[str, None]] = [{} for _ in train[0].features]
     for sent in train:
-        for tok in sent.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-    word = Vocabulary()
-    char = Vocabulary()
-    label = Vocabulary(with_boundary=True)
-    n_feat_cols = len(train[0].features)
-    feats = [Vocabulary() for _ in range(n_feat_cols)]
-    for sent in train:
-        for tok in sent.tokens:
-            if counts[tok] >= min_count:
-                word.add(tok)
-            for ch in tok:
-                char.add(ch)
-        if sent.labels:
-            for lab in sent.labels:
-                label.add(lab)
         for k, col in enumerate(sent.features):
-            for value in col:
-                feats[k].add(value)
-    return VocabSet(word=word, char=char, label=label, feats=feats)
+            feats[k].update(dict.fromkeys(col))
+    return VocabSet(
+        word=_vocabulary(tok for tok, n in counts.items() if n >= min_count),
+        char=_vocabulary(dict.fromkeys("".join(counts))),
+        label=_vocabulary(dict.fromkeys(chain.from_iterable(
+            sent.labels for sent in train if sent.labels)), with_boundary=True),
+        feats=[_vocabulary(values) for values in feats],
+    )
 
 
 @dataclass
@@ -226,31 +228,67 @@ class EncodedSentence:
         return len(self.tokens)
 
 
-def encode_sentence(sent: TaggedSentence, vocabs: VocabSet) -> EncodedSentence:
-    """Map a sentence to ids.  Unknown words/chars/features fall back to
-    UNK; an unknown gold label is a vocabulary mismatch."""
-    sent.validate()
-    if len(sent.features) != len(vocabs.feats):
-        raise IngestionError(
-            f"sentence has {len(sent.features)} feature columns, vocabularies expect {len(vocabs.feats)}"
-        )
-    labels = None
-    if sent.labels is not None:
-        labels = np.array([vocabs.label.require(lab) for lab in sent.labels], dtype=np.int64)
-    return EncodedSentence(
-        tokens=tuple(sent.tokens),
-        word_ids=np.array([vocabs.word.lookup(t) for t in sent.tokens], dtype=np.int64),
-        char_ids=tuple(tuple(vocabs.char.lookup(c) for c in tok) for tok in sent.tokens),
-        feat_ids=tuple(
-            np.array([vocab.lookup(v) for v in col], dtype=np.int64)
-            for col, vocab in zip(sent.features, vocabs.feats)
-        ),
-        label_ids=labels,
-    )
+class _Memo(dict):
+    """`make(key)`, computed at a key's first lookup and kept."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
 def encode_corpus(sentences, vocabs: VocabSet) -> list[EncodedSentence]:
-    return [encode_sentence(s, vocabs) for s in sentences]
+    """Map sentences to ids.  Unknown words/chars/features fall back to
+    UNK; an unknown gold label is a vocabulary mismatch.  Each distinct
+    token is looked up once per call, its word id and character ids kept
+    for every later occurrence, and each distinct label likewise.  Each
+    kind of id is one array for the whole call, and a sentence's ids are
+    its slice of it."""
+    sentences = list(sentences)
+    word, char = vocabs.word, vocabs.char
+    by_token = _Memo(lambda tok: (word.lookup(tok), tuple(map(char.lookup, tok))))
+    by_label = _Memo(vocabs.label.require)
+    tokens: list[str] = []
+    labels: list[int] = []
+    feats: list[list[str]] = [[] for _ in vocabs.feats]
+    for sent in sentences:
+        sent.validate()
+        if len(sent.features) != len(vocabs.feats):
+            raise IngestionError(
+                f"sentence has {len(sent.features)} feature columns, vocabularies expect {len(vocabs.feats)}"
+            )
+        if sent.labels is not None:
+            labels.extend(map(by_label.__getitem__, sent.labels))
+        tokens.extend(sent.tokens)
+        for values, col in zip(feats, sent.features):
+            values.extend(col)
+    if not sentences:
+        return []
+    words, char_ids = zip(*map(by_token.__getitem__, tokens))
+    word_ids = np.array(words, dtype=np.int64)
+    label_ids = np.array(labels, dtype=np.int64)
+    feat_ids = [np.array(list(map(vocab.lookup, values)), dtype=np.int64)
+                for values, vocab in zip(feats, vocabs.feats)]
+    encoded = []
+    start = labelled = 0
+    for sent in sentences:
+        stop = start + len(sent.tokens)
+        sent_labels = None
+        if sent.labels is not None:
+            sent_labels = label_ids[labelled:labelled + stop - start]
+            labelled += stop - start
+        encoded.append(EncodedSentence(
+            tokens=tuple(sent.tokens),
+            word_ids=word_ids[start:stop],
+            char_ids=char_ids[start:stop],
+            feat_ids=tuple([ids[start:stop] for ids in feat_ids]),
+            label_ids=sent_labels,
+        ))
+        start = stop
+    return encoded
 
 
 def decode_labels(ids, vocabs: VocabSet) -> list[str]:

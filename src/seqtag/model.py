@@ -105,18 +105,23 @@ EVAL = Mode()
 class _Store:
     """Ordered named-parameter registry; the L2 term, the optimizers, the
     gradient checker, and the model file all enumerate exactly this set.
-    Each tensor is drawn from `rng` (zeros without one) or, given
-    `values`, adopts the array of its name uncopied."""
+    Each tensor is drawn from `rng` (zeros without one), or, given
+    `values`, adopts the array of its name uncopied, or, `unfilled`, is
+    an array no value has been written to."""
 
-    def __init__(self, rng: SplitMix64 | None, values: dict[str, np.ndarray] | None = None):
+    def __init__(self, rng: SplitMix64 | None, values: dict[str, np.ndarray] | None = None,
+                 unfilled: bool = False):
         self._rng = rng
         self._values = values
+        self._unfilled = unfilled
         self.tensors: dict[str, Tensor] = {}
 
     def _register(self, name: str, shape, make) -> Tensor:
         if name in self.tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
-        if self._values is None:
+        if self._unfilled:
+            values = np.empty(shape)
+        elif self._values is None:
             values = make()
         elif name not in self._values:
             raise ContractError(f"parameter set mismatch: {name!r} missing")
@@ -278,9 +283,23 @@ class ModelParameters:
 
     def __init__(self, dims: ModelDims, rng: SplitMix64 | None = None,
                  values: dict[str, np.ndarray] | None = None):
+        self._build(dims, _Store(rng, values))
+        if values is not None and len(values) != len(self._tensors):
+            raise ContractError(
+                f"parameter set mismatch: {sorted(set(values) - set(self._tensors))}")
+
+    @classmethod
+    def unfilled(cls, dims: ModelDims) -> "ModelParameters":
+        """A model whose arrays hold whatever their memory held, for a
+        reader that writes every one before the model is used
+        (`serialization.load_model`): no array is written twice."""
+        params = cls.__new__(cls)
+        params._build(dims, _Store(None, unfilled=True))
+        return params
+
+    def _build(self, dims: ModelDims, store: _Store):
         dims.validate()
         self.dims = dims
-        store = _Store(rng, values)
         d = dims.width
         self.word_table = store.matrix("embed.word", (dims.n_words, dims.word_dim), fan_in=dims.word_dim)
         self.char_table = store.matrix("embed.char", (dims.n_chars, dims.char_dim), fan_in=dims.char_dim)
@@ -303,9 +322,6 @@ class ModelParameters:
         self.out_fw_w = store.matrix("out.fw.w", (3 * d, dims.n_labels))
         self.out_fw_b = store.zeros("out.fw.b", (dims.n_labels,))
         self._tensors = store.tensors
-        if values is not None and len(values) != len(self._tensors):
-            raise ContractError(
-                f"parameter set mismatch: {sorted(set(values) - set(self._tensors))}")
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return list(self._tensors.items())

@@ -14,6 +14,8 @@ top 53 bits of the output, giving uniform values in [0, 1).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from . import lanes
@@ -37,7 +39,21 @@ def _mix(z: int) -> int:
 
 def _draw(out: np.ndarray, state: int, bounds: tuple[float, float] | None):
     """Fill the 1-D `out` with the floats that follow `state`, one block
-    at a time, each scaled to `bounds` (lo, hi) while it is in cache."""
+    at a time, each scaled to `bounds` (lo, hi) while it is in cache.
+
+    A block's top 53 bits convert to float64 exactly through an int64
+    view, in the multiply that writes them to `out`.  Scaling by 2^-53 is
+    exact, so it folds into the width hi - lo: one multiply gives the
+    bits that u * 2^-53 * (hi - lo) gives, unless the folded factor is
+    not a normal float, where the two multiplies stay apart."""
+    scale, width, lo = 2.0**-53, None, None
+    if bounds is not None:
+        lo, hi = bounds
+        folded = (hi - lo) * 2.0**-53
+        if sys.float_info.min <= abs(folded) <= sys.float_info.max:
+            scale = folded
+        else:
+            width = hi - lo
     n = out.size
     z = np.empty(min(n, _BLOCK), dtype=np.uint64)
     shifted = np.empty_like(z)
@@ -54,10 +70,10 @@ def _draw(out: np.ndarray, state: int, bounds: tuple[float, float] | None):
         zb ^= sb
         zb >>= np.uint64(11)
         block = out[start:start + size]
-        np.multiply(zb, 2.0**-53, out=block)
-        if bounds is not None:
-            lo, hi = bounds
-            block *= hi - lo
+        np.multiply(zb.view(np.int64), scale, out=block)
+        if width is not None:
+            block *= width
+        if lo is not None:
             block += lo
 
 
@@ -88,7 +104,8 @@ class SplitMix64:
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
         """`floats` scaled to [lo, hi), each block scaled while in cache,
-        on two lanes as `floats` is."""
+        on two lanes as `floats` is: bit for bit `floats(n) * (hi - lo)
+        + lo`, in one multiply where that is exact (see `_draw`)."""
         n = int(np.prod(shape)) if shape else 1
         values = np.empty(n, dtype=np.float64)
         self._fill(values, (lo, hi))

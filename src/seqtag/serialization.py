@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import secrets
 import struct
 import sys
 from pathlib import Path
@@ -86,10 +87,12 @@ def _write(out, params: ModelParameters, vocabs: VocabSet, meta_float: dict[str,
 
 def save_model(path, params: ModelParameters, vocabs: VocabSet, meta_float: dict[str, float]):
     """Write the model file, header first and then each tensor straight
-    from its array, with no whole-file buffer; and its manifest."""
+    from its array, with no whole-file buffer; and its manifest.  Both
+    are written to new files beside their destinations, which replace
+    the old files only once both are complete: a save that fails leaves
+    the previous model and manifest as they were, and removes what it
+    wrote."""
     path = Path(path)
-    with path.open("wb") as out:
-        _write(out, params, vocabs, meta_float)
     manifest = {
         "format_version": FORMAT_VERSION,
         "dimensions": {name: getattr(params.dims, name) for name in ModelDims.layer_names()},
@@ -105,9 +108,23 @@ def save_model(path, params: ModelParameters, vocabs: VocabSet, meta_float: dict
             for name, tensor in params.named_tensors()
         ],
     }
-    Path(str(path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    manifest_path = Path(str(path) + ".manifest.json")
+    staged = [(_beside(path), path), (_beside(manifest_path), manifest_path)]
+    try:
+        with open(staged[0][0], "xb") as out:
+            _write(out, params, vocabs, meta_float)
+        with open(staged[1][0], "x", encoding="utf-8") as out:
+            out.write(json.dumps(manifest, indent=2) + "\n")
+        for temporary, destination in staged:
+            os.replace(temporary, destination)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+
+
+def _beside(destination: Path) -> Path:
+    """A new file name, random, in `destination`'s directory."""
+    return destination.with_name(f".{destination.name}.{secrets.token_hex(8)}.tmp")
 
 
 class _Reader:
@@ -140,7 +157,8 @@ class _Reader:
         """Read the next little-endian float64 entries straight into the
         contiguous `values`."""
         self._claim(values.nbytes)
-        self.file.readinto(values)
+        if self.file.readinto(values) != values.nbytes:
+            raise IngestionError(f"{self.path}: truncated model file")
         if sys.byteorder != "little":
             values.byteswap(inplace=True)
 
@@ -148,8 +166,8 @@ class _Reader:
 def load_model(path):
     """Read a model file back into (params, vocabs, meta) where meta holds
     both header sections.  Each tensor is read straight into the new
-    model's array, with no whole-file buffer; the model holds no
-    gradients.  A file that is truncated, has bytes after the last
+    model's array, which nothing wrote before, with no whole-file buffer;
+    the model holds no gradients.  A file that is truncated, has bytes after the last
     tensor, lacks a header key or vocabulary, or whose tensors do not
     match the model its header describes (missing, extra, duplicated, or
     of another shape) raises IngestionError."""
@@ -206,7 +224,9 @@ def _read(reader: _Reader):
         else:
             value = header(f.name)
             dims[f.name] = bool(value) if isinstance(f.default, bool) else value
-    params = ModelParameters(ModelDims(**dims), rng=None)
+    # every array is written once, by `fill`: the checks below raise
+    # before a model with an array left unread can be returned
+    params = ModelParameters.unfilled(ModelDims(**dims))
     expected = dict(params.named_tensors())
     (n,) = reader.unpack("<I")
     read: set[str] = set()

@@ -678,6 +678,8 @@ def _one_run(args) -> EvalReport:
     result = train(corpus, run_config, vocabs)
     if output is not None:
         model_path, log_path = output
+        for path in (model_path, log_path):
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
         save_model(model_path, result.params, vocabs,
                    {"dropout": run_config.dropout, "l2": run_config.l2})
         Path(log_path).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")

@@ -5,12 +5,14 @@ Used as the independent second route for model and loss tests: plain
 numpy on raw parameter values (a name -> array dict), no Tensor, no tape,
 unshifted softmax.  Single sentence, 1-D vectors per position.  The data
 tests check generated corpora against `expected_label_distribution` and
-`oracle_labels`.
+`oracle_labels`, and set-up against the per-token vocabulary walk and
+encoder at the end of this file.
 """
 
 import numpy as np
 
-from seqtag.data import SyntheticSpec, _spec_words
+from seqtag.data import EncodedSentence, SyntheticSpec, Vocabulary, VocabSet, _spec_words
+from seqtag.errors import ContractError, IngestionError
 
 BOUNDARY = 2
 RESERVED = 3  # inference argmax skips pad/unk/boundary label ids
@@ -182,4 +184,60 @@ def oracle_labels(tokens: list[str], spec: SyntheticSpec) -> list[str]:
         else:
             out.append("O")
             open_concept = None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# set-up, one token at a time
+
+
+def build_vocabularies(train, min_count=1):
+    """Vocabularies from a walk over every token of every sentence, each
+    string added where it first occurs."""
+    if not train:
+        raise ContractError("cannot build vocabularies from an empty training set")
+    counts = {}
+    for sent in train:
+        for tok in sent.tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+    word = Vocabulary()
+    char = Vocabulary()
+    label = Vocabulary(with_boundary=True)
+    feats = [Vocabulary() for _ in train[0].features]
+    for sent in train:
+        for tok in sent.tokens:
+            if counts[tok] >= min_count:
+                word.add(tok)
+            for ch in tok:
+                char.add(ch)
+        if sent.labels:
+            for lab in sent.labels:
+                label.add(lab)
+        for k, col in enumerate(sent.features):
+            for value in col:
+                feats[k].add(value)
+    return VocabSet(word=word, char=char, label=label, feats=feats)
+
+
+def encode_corpus(sentences, vocabs):
+    """Every token's word and characters looked up where it occurs."""
+    out = []
+    for sent in sentences:
+        sent.validate()
+        if len(sent.features) != len(vocabs.feats):
+            raise IngestionError(
+                f"sentence has {len(sent.features)} feature columns, "
+                f"vocabularies expect {len(vocabs.feats)}")
+        labels = None
+        if sent.labels is not None:
+            labels = np.array([vocabs.label.require(lab) for lab in sent.labels], dtype=np.int64)
+        out.append(EncodedSentence(
+            tokens=tuple(sent.tokens),
+            word_ids=np.array([vocabs.word.lookup(t) for t in sent.tokens], dtype=np.int64),
+            char_ids=tuple(tuple(vocabs.char.lookup(c) for c in tok) for tok in sent.tokens),
+            feat_ids=tuple(
+                np.array([vocab.lookup(v) for v in col], dtype=np.int64)
+                for col, vocab in zip(sent.features, vocabs.feats)),
+            label_ids=labels,
+        ))
     return out

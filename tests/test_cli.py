@@ -151,6 +151,16 @@ class TestTrain:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert list(out.iterdir()) == []
 
+    def test_model_and_log_directories_are_made(self, corpus_dir, tmp_path):
+        # as the README's quick start does, name directories that do not exist yet
+        model, log = tmp_path / "run" / "model.bin", tmp_path / "logs" / "train.log"
+        code = main(["train", "--train", str(corpus_dir / "train.conll"),
+                     "--dev", str(corpus_dir / "dev.conll"), "--model-out", str(model),
+                     "--log-out", str(log), *TRAIN_FLAGS])
+        assert code == 0
+        assert load_model(model)[0].names()
+        assert log.read_text(encoding="utf-8").startswith("epoch=1 ")
+
     def test_model_file_exists_and_reloads(self, trained):
         _, model = trained
         assert model.is_file()

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from oracle import expected_label_distribution, oracle_labels
 from seqtag.data import (
     BOUNDARY,
@@ -17,7 +20,6 @@ from seqtag.data import (
     bucket_batches,
     build_vocabularies,
     encode_corpus,
-    encode_sentence,
     load_conll,
     make_synthetic_corpus,
     most_frequent_baseline,
@@ -123,7 +125,7 @@ class TestVocabulary:
 
     def test_encode_round_trip(self):
         train, vocabs = self._vocabs()
-        enc = encode_sentence(train[0], vocabs)
+        (enc,) = encode_corpus(train[:1], vocabs)
         back = [vocabs.word.string(int(i)) for i in enc.word_ids]
         assert back == train[0].tokens
 
@@ -143,6 +145,94 @@ class TestVocabulary:
         rate = oov / total
         sigma = math.sqrt(0.2 * 0.8 / total)
         assert abs(rate - 0.2) < 4 * sigma
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared between two implementations
+        return type(exc), str(exc)
+
+
+@st.composite
+def _split(draw, words, chars, labels, n_feats, values):
+    """Sentences over `words` (plus tokens of unseen `chars` when given),
+    gold `labels`, or none where the list holds None."""
+    pool = st.sampled_from(words)
+    if chars:
+        pool = st.one_of(pool, st.text(st.sampled_from(chars), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 7))
+        tokens = draw(st.lists(pool, min_size=n, max_size=n))
+        label = draw(st.sampled_from(labels))
+        out.append(TaggedSentence(
+            tokens=tokens,
+            features=[draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+                      for _ in range(n_feats)],
+            labels=None if label is None else draw(
+                st.lists(st.sampled_from(label), min_size=n, max_size=n)),
+        ))
+    return out
+
+
+class TestSetUpAgainstPerTokenWalk:
+    """`build_vocabularies` counts once and adds each distinct token, and
+    `encode_corpus` looks each one up once: both against the walk over
+    every token in `oracle`, id for id and error for error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           words=st.lists(st.text(st.sampled_from("abé中ß\U0001F600"), min_size=1, max_size=4),
+                          min_size=1, max_size=8, unique=True),
+           min_count=st.integers(1, 3), n_feats=st.integers(0, 2),
+           unknown_label=st.booleans())
+    def test_same_ids_in_the_same_order(self, data, words, min_count, n_feats, unknown_label):
+        tags = ["O", "B-x", "I-x", "B-ü"]
+        values = ["NN", "VB", "Äj"]
+        train = data.draw(_split(words, "", [tags], n_feats, values))
+        heldout_tags = [tags, None] + ([tags + ["B-new"]] if unknown_label else [])
+        heldout = data.draw(_split(words, "qzé✓\U0001F600", heldout_tags, n_feats, values + ["RB"]))
+        vocabs = build_vocabularies(train, min_count)
+        want = oracle.build_vocabularies(train, min_count)
+        for got_v, want_v in zip([vocabs.word, vocabs.char, vocabs.label, *vocabs.feats],
+                                 [want.word, want.char, want.label, *want.feats]):
+            assert got_v.strings == want_v.strings
+        assert len(vocabs.feats) == len(want.feats) == n_feats
+        for split in (train, heldout, train + heldout):
+            got, expected = _outcome(encode_corpus, split, vocabs), _outcome(oracle.encode_corpus, split, want)
+            if isinstance(expected, tuple):
+                assert expected[0] is VocabMismatchError
+                assert got == expected
+                continue
+            assert isinstance(got, list) and len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.tokens == e.tokens
+                assert g.char_ids == e.char_ids
+                assert g.word_ids.dtype == e.word_ids.dtype == np.int64
+                np.testing.assert_array_equal(g.word_ids, e.word_ids)
+                assert len(g.feat_ids) == len(e.feat_ids)
+                for gf, ef in zip(g.feat_ids, e.feat_ids):
+                    assert gf.dtype == np.int64
+                    np.testing.assert_array_equal(gf, ef)
+                if e.label_ids is None:
+                    assert g.label_ids is None
+                else:
+                    assert g.label_ids.dtype == np.int64
+                    np.testing.assert_array_equal(g.label_ids, e.label_ids)
+
+    def test_unseen_words_and_characters_are_unknown(self):
+        train = [TaggedSentence(tokens=["ab", "ab", "c"], labels=["O", "O", "O"])]
+        vocabs = build_vocabularies(train, min_count=2)
+        (enc,) = encode_corpus([TaggedSentence(tokens=["ab", "c", "aé"])], vocabs)
+        assert enc.word_ids.tolist() == [2, UNK, UNK]
+        assert enc.char_ids == ((2, 3), (4,), (2, UNK))
+        assert enc.label_ids is None
+
+    def test_an_empty_corpus_encodes_to_nothing(self):
+        vocabs = build_vocabularies([TaggedSentence(tokens=["a"], labels=["O"])])
+        assert encode_corpus([], vocabs) == []
 
 
 class TestStreamChunks:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
+import tape_ops as ops
 from seqtag import autodiff as ad
 from seqtag import model as m
 from seqtag.autodiff import Tape, Tensor, backward
@@ -137,13 +138,13 @@ class TestGruCell:
     def _op_by_op_step(cell, x, h):
         """The GRU step as one tape operation per arithmetic step: the
         reference the fused scan must reproduce bit for bit."""
-        z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_z), ad.matmul(h, cell.u_z)), cell.b_z))
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_r), ad.matmul(h, cell.u_r)), cell.b_r))
+        z = ops.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_z), ad.matmul(h, cell.u_z)), cell.b_z))
+        r = ops.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_r), ad.matmul(h, cell.u_r)), cell.b_r))
         cand = ad.tanh(
-            ad.add(ad.add(ad.matmul(x, cell.w_h), ad.matmul(ad.mul(r, h), cell.u_h)), cell.b_h)
+            ad.add(ad.add(ad.matmul(x, cell.w_h), ad.matmul(ops.mul(r, h), cell.u_h)), cell.b_h)
         )
         one = Tensor(np.ones(z.values.shape))
-        return ad.add(ad.mul(ad.add(ad.scale(z, -1.0), one), h), ad.mul(z, cand))
+        return ad.add(ops.mul(ad.add(ad.scale(z, -1.0), one), h), ops.mul(z, cand))
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_scan_equals_chained_steps_bit_for_bit(self, reverse):
@@ -189,7 +190,7 @@ class TestGruCell:
         upstream = Tensor(rng.uniform_array((sum(running), 5), -1.0, 1.0))
 
         def build():
-            return ad.tensor_sum(ad.mul(cell.scan(x, h0, running, reverse), upstream))
+            return ad.tensor_sum(ops.mul(cell.scan(x, h0, running, reverse), upstream))
 
         weights = [cell.w_z, cell.w_r, cell.w_h, cell.u_z, cell.u_r, cell.u_h,
                    cell.b_z, cell.b_r, cell.b_h]

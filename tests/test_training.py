@@ -4,9 +4,11 @@ import gc
 import hashlib
 import math
 import re
+import struct
 import tracemalloc
 import weakref
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -944,14 +946,49 @@ class TestSerialization:
             np.testing.assert_array_equal(loaded.get(name).values, t.values, err_msg=name)
 
     @pytest.mark.parametrize("cut", [
-        pytest.param(lambda blob: blob[:40], id="inside-the-header"),
-        pytest.param(lambda blob: blob[:-4], id="inside-the-last-tensor"),
+        pytest.param(lambda blob, last: blob[:40], id="inside-the-header"),
+        pytest.param(lambda blob, last: blob[:-4], id="inside-the-last-tensor"),
+        pytest.param(lambda blob, last: blob[:-1], id="one-byte-short"),
+        pytest.param(lambda blob, last: blob[:-last + 3], id="inside-the-last-tensor's-first-entry"),
     ])
     def test_truncated_file_rejected(self, tmp_path, cut):
-        _, _, _, path = self._trained(tmp_path)
-        path.write_bytes(cut(path.read_bytes()))
+        _, _, result, path = self._trained(tmp_path)
+        last = result.params.named_tensors()[-1][1].values.nbytes
+        path.write_bytes(cut(path.read_bytes(), last))
         with pytest.raises(IngestionError, match="truncated model file"):
             load_model(path)
+
+    def test_file_that_shrinks_after_it_is_opened_rejected(self, tmp_path):
+        # a read that returns fewer bytes than the size found at open
+        # time must not leave the rest of the array as it was
+        from seqtag.serialization import _Reader
+
+        path = tmp_path / "short.bin"
+        path.write_bytes(np.arange(3.0).tobytes())
+        with open(path, "rb") as file:
+            reader = _Reader(file, path)
+            reader.left += 8
+            with pytest.raises(IngestionError, match="truncated model file"):
+                reader.fill(np.empty(4))
+
+    def test_failed_save_leaves_the_previous_files(self, tmp_path):
+        _, vocabs, result, path = self._trained(tmp_path)
+        manifest = tmp_path / "model.bin.manifest.json"
+        before = path.read_bytes(), manifest.read_bytes()
+        # struct.pack rejects the first, while the binary is written; json
+        # the second, after the binary is complete
+        for bad, error in (("0.1", struct.error), (Decimal("0.1"), TypeError)):
+            with pytest.raises(error):
+                save_model(path, result.params, vocabs, {"dropout": bad, "l2": 0.0})
+            assert (path.read_bytes(), manifest.read_bytes()) == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, manifest.name]
+
+    def test_save_replaces_the_previous_files(self, tmp_path):
+        _, vocabs, result, path = self._trained(tmp_path)
+        save_model(path, result.params, vocabs, {"dropout": 0.25, "l2": 0.0})
+        assert load_model(path)[2]["float"]["dropout"] == 0.25
+        assert '"dropout": 0.25' in (tmp_path / "model.bin.manifest.json").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.bin.manifest.json"]
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -980,9 +1017,14 @@ class TestSerialization:
         with pytest.raises(IngestionError, match="appears twice"):
             load_model(path)
 
-    def test_missing_tensor_rejected(self, tmp_path, monkeypatch):
-        path = self._saved_with_tensors(tmp_path, monkeypatch, lambda ts: ts[:-1])
-        with pytest.raises(IngestionError, match="missing: \\['out.fw.b'\\]"):
+    @pytest.mark.parametrize("drop, name", [(-1, "out.fw.b"), (0, "embed.word"), (5, "char.gru.fw.b_z")])
+    def test_missing_tensor_rejected(self, tmp_path, monkeypatch, drop, name):
+        def without(ts):
+            assert ts[drop][0] == name
+            return [t for i, t in enumerate(ts) if i != drop % len(ts)]
+
+        path = self._saved_with_tensors(tmp_path, monkeypatch, without)
+        with pytest.raises(IngestionError, match=f"missing: \\['{re.escape(name)}'\\]"):
             load_model(path)
 
     def test_extra_tensor_rejected(self, tmp_path, monkeypatch):
